@@ -136,8 +136,8 @@ runCell(std::uint64_t seed, double rate, unsigned ckptInterval,
     s.serialS = acct.total().seconds;
     s.makespanS = acct.makespanSeconds;
     s.joules = acct.total().joules;
-    s.integrityS = acct.integrity.seconds;
-    s.integrityJ = acct.integrity.joules;
+    s.integrityS = acct.integrity().seconds;
+    s.integrityJ = acct.integrity().joules;
     s.retries = acct.retryCount;
     s.checkpoints = acct.checkpointsTaken;
     s.resumes = acct.resumedFromCheckpoint;

@@ -215,10 +215,10 @@ runCell(std::uint64_t seed, unsigned chain, unsigned window,
 
     std::uint64_t digest = 1469598103934665603ull;
     digest = runSarChain(rt, chain, seed, digest);
-    s.sarInvocationS = rt.accounting().invocation.seconds;
+    s.sarInvocationS = rt.accounting().invocation().seconds;
     digest = runStapChain(rt, chain, window, seed, digest);
     s.stapInvocationS =
-        rt.accounting().invocation.seconds - s.sarInvocationS;
+        rt.accounting().invocation().seconds - s.sarInvocationS;
 
     const runtime::RuntimeAccounting &a = rt.accounting();
     s.totalS = a.total().seconds;

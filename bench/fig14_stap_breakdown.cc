@@ -49,14 +49,14 @@ main(int argc, char **argv)
                bench::fmt("%.4f", c.joules),
                bench::fmt("%.1f%%", 100.0 * c.joules / total.joules)});
     };
-    share(r.host, "host (cherk/ctrsm/marshal + idle)", ta);
-    share(r.accel, "accelerators", ta);
-    share(r.invocation, "invocation (flush+descriptor)", ta);
+    share(r.host(), "host (cherk/ctrsm/marshal + idle)", ta);
+    share(r.accel(), "accelerators", ta);
+    share(r.invocation(), "invocation (flush+descriptor)", ta);
     ta.print();
 
     std::printf("(b) accelerator-side breakdown\n");
-    double acc_t = r.accel.seconds + r.invocation.seconds;
-    double acc_e = r.accel.joules + r.invocation.joules;
+    double acc_t = r.accel().seconds + r.invocation().seconds;
+    double acc_e = r.accel().joules + r.invocation().joules;
     bench::Table tb({"accelerator", "time %", "energy %"});
     for (const auto &[k, v] : r.timeByAccel.parts()) {
         tb.row({k, bench::fmt("%.1f%%", 100.0 * v / acc_t),
@@ -64,8 +64,8 @@ main(int argc, char **argv)
                            100.0 * r.energyByAccel.get(k) / acc_e)});
     }
     tb.row({"invocation",
-            bench::fmt("%.1f%%", 100.0 * r.invocation.seconds / acc_t),
-            bench::fmt("%.1f%%", 100.0 * r.invocation.joules / acc_e)});
+            bench::fmt("%.1f%%", 100.0 * r.invocation().seconds / acc_t),
+            bench::fmt("%.1f%%", 100.0 * r.invocation().joules / acc_e)});
     tb.print();
 
     std::printf("descriptors used: %llu (paper: 3); library calls "

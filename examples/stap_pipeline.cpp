@@ -74,15 +74,15 @@ main(int argc, char **argv)
 
     std::printf("\nMEALib-side breakdown (Fig. 14):\n");
     std::printf("  host  : %5.1f%% time, %5.1f%% energy\n",
-                100.0 * mea.host.seconds / mea.total().seconds,
-                100.0 * mea.host.joules / mea.total().joules);
+                100.0 * mea.host().seconds / mea.total().seconds,
+                100.0 * mea.host().joules / mea.total().joules);
     std::printf("  accel : %5.1f%% time, %5.1f%% energy\n",
-                100.0 * mea.accel.seconds / mea.total().seconds,
-                100.0 * mea.accel.joules / mea.total().joules);
+                100.0 * mea.accel().seconds / mea.total().seconds,
+                100.0 * mea.accel().joules / mea.total().joules);
     for (const auto &[k, v] : mea.timeByAccel.parts())
         std::printf("    %-5s %5.1f%% of accelerator time\n", k.c_str(),
-                    100.0 * v / mea.accel.seconds);
+                    100.0 * v / mea.accel().seconds);
     std::printf("  invoc : %5.1f%% time\n",
-                100.0 * mea.invocation.seconds / mea.total().seconds);
+                100.0 * mea.invocation().seconds / mea.total().seconds);
     return maxdiff == 0.0 ? 0 : 1;
 }

@@ -233,8 +233,8 @@ solveCgMealib(const mkl::CsrMatrix &a, const std::vector<float> &b,
     res.residualNorm = std::sqrt(rs);
     res.x.assign(x, x + n);
     if (opts.exclusive) {
-        res.accel = rt.accounting().accel;
-        res.invocation = rt.accounting().invocation;
+        res.accel = rt.accounting().accel();
+        res.invocation = rt.accounting().invocation();
     }
 
     for (void *ptr :

@@ -444,7 +444,6 @@ runStapHost(const StapParams &p)
     auto charge = [&](const host::KernelProfile &prof,
                       const char *label) {
         Cost c = cpu.run(prof);
-        res.host += c;
         res.ledger.post("host", c, label);
         res.ledger.attribute("host", c.joules);
         res.ledger.addFlops(prof.flops);
@@ -552,21 +551,14 @@ runStapMealib(const StapParams &p, runtime::MealibRuntime &rt,
 
     if (exclusive) {
         const runtime::RuntimeAccounting &acct = rt.accounting();
-        res.host = acct.host;
-        res.accel = acct.accel;
-        res.invocation = acct.invocation;
         res.timeByAccel = acct.timeByAccel;
         res.energyByAccel = acct.energyByAccel;
+        res.criticalPathSeconds = acct.makespanSeconds;
         // The host idles (but still burns package power) while the
         // accelerators own the DRAM.
-        Cost idle =
-            cpu.idleCost(res.accel.seconds + res.invocation.seconds);
-        res.host.joules += idle.joules;
-        res.criticalPathSeconds = acct.makespanSeconds;
-        // The runtime's ledger already mirrors the accounting above;
-        // add the package-idle charge so ledger.total() == total()
-        // stays exact.
         res.ledger = rt.ledger();
+        Cost idle =
+            cpu.idleCost(res.accel().seconds + res.invocation().seconds);
         res.ledger.post("host", {0.0, idle.joules}, "package_idle");
         res.ledger.attribute("host", idle.joules);
     }
@@ -697,9 +689,6 @@ runStapMealibAsync(const StapParams &p, runtime::MealibRuntime &rt,
 
     if (exclusive) {
         const runtime::RuntimeAccounting &acct = rt.accounting();
-        res.host = acct.host;
-        res.accel = acct.accel;
-        res.invocation = acct.invocation;
         res.timeByAccel = acct.timeByAccel;
         res.energyByAccel = acct.energyByAccel;
         res.criticalPathSeconds = acct.makespanSeconds;
@@ -709,7 +698,6 @@ runStapMealibAsync(const StapParams &p, runtime::MealibRuntime &rt,
         const double idle_s =
             std::max(0.0, acct.makespanSeconds - acct.hostBusySeconds);
         const double idle_j = cpu.idleCost(idle_s).joules;
-        res.host.joules += idle_j;
         res.ledger = rt.ledger();
         res.ledger.post("host", {0.0, idle_j}, "package_idle");
         res.ledger.attribute("host", idle_j);

@@ -72,13 +72,17 @@ struct StapParams
     static StapParams largeSet();
 };
 
-/** Output and cost ledger of one STAP run. */
-struct StapResult
+/**
+ * Output and cost ledger of one STAP run. host() (compute-bounded
+ * stages: cherk/ctrsm/marshal, plus the package-idle charge), accel()
+ * (accelerator-executed stages), invocation() (flush + descriptor +
+ * config overheads), integrity() and total() read the per-stage ledger:
+ * the runtime's ledger plus the host package-idle charge for the MEALib
+ * pipelines, a locally built one for the host baseline.
+ */
+struct StapResult : LedgerCosts
 {
     std::vector<mkl::cfloat> prods; //!< final products, for verification
-    Cost host;        //!< compute-bounded stages (cherk/ctrsm/marshal)
-    Cost accel;       //!< accelerator-executed stages
-    Cost invocation;  //!< flush + descriptor + config overheads
     Breakdown timeByAccel;   //!< accel seconds keyed by kind
     Breakdown energyByAccel; //!< accel joules keyed by kind
     std::uint64_t descriptors = 0; //!< accelerator descriptors used
@@ -87,16 +91,6 @@ struct StapResult
      * Equals total().seconds for the blocking pipelines; smaller for
      * runStapMealibAsync when stacks and host work overlap. */
     double criticalPathSeconds = 0.0;
-    /** Per-stage cost ledger of the run: the runtime's ledger for the
-     * MEALib pipelines (plus the host package-idle charge), a locally
-     * built one for the host baseline. ledger.total() == total(). */
-    EnergyLedger ledger;
-
-    Cost
-    total() const
-    {
-        return host + accel + invocation;
-    }
 };
 
 /** Run STAP entirely on the host (the optimized MKL baseline). */

@@ -32,6 +32,13 @@ class Cli
     /** @return the double value of `--name`, or @p def if absent. */
     double getDouble(const std::string &name, double def) const;
 
+    /** Every `--name` passed, with its value ("" for bare flags). */
+    const std::map<std::string, std::string> &
+    options() const
+    {
+        return options_;
+    }
+
     /** Positional (non-flag) arguments in order. */
     const std::vector<std::string> &positional() const { return positional_; }
 

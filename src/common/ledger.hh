@@ -8,9 +8,11 @@
  * observable record: named cost *tracks* whose sum is the run total,
  * an energy-only *component* attribution (DRAM vs. logic vs. NoC vs.
  * link vs. host package), and aggregated per-label event statistics.
- * The runtime posts to its ledger at exactly the points it updates
- * RuntimeAccounting, so ledger.total() equals accounting().total()
- * identically; `mealib-run --energy-json` serializes the ledger.
+ * The ledger is the only store a modeled Cost accumulates in:
+ * RuntimeAccounting and StapResult read their host/accel/invocation/
+ * integrity costs from its tracks (LedgerCosts), so ledger.total() and
+ * accounting().total() cannot drift apart; `mealib-run --energy-json`
+ * serializes the ledger.
  */
 
 #ifndef MEALIB_COMMON_LEDGER_HH
@@ -118,6 +120,28 @@ class EnergyLedger
     Breakdown components_;
     std::map<std::string, EventStat> events_;
     double flops_ = 0.0;
+};
+
+/**
+ * The four cost tracks a run's breakdown reports, read from the ledger
+ * that holds them (docs/MODEL.md). Views, not copies: a charge posted to
+ * the ledger is the only update they see.
+ */
+struct LedgerCosts
+{
+    EnergyLedger ledger;
+
+    Cost host() const { return ledger.track("host"); }
+    Cost accel() const { return ledger.track("accel"); }
+    Cost invocation() const { return ledger.track("invocation"); }
+    /** Operand verification + checkpoint journaling. */
+    Cost integrity() const { return ledger.track("integrity"); }
+
+    Cost
+    total() const
+    {
+        return host() + accel() + invocation() + integrity();
+    }
 };
 
 } // namespace mealib

@@ -1,60 +1,10 @@
 #include "dram/tracegen.hh"
 
 #include <algorithm>
-#include <sstream>
 
 #include "common/logging.hh"
 
 namespace mealib::dram {
-
-std::string
-writeTrace(const Trace &trace)
-{
-    std::ostringstream os;
-    os << "# mealib-trace sampled=" << trace.sampledBytes
-       << " total=" << trace.totalBytes << "\n";
-    for (const Request &r : trace.requests)
-        os << (r.isWrite ? 'W' : 'R') << " " << r.addr << " " << r.bytes
-           << "\n";
-    return os.str();
-}
-
-Trace
-readTrace(const std::string &text)
-{
-    std::istringstream in(text);
-    std::string line;
-    Trace t;
-    bool header = false;
-    while (std::getline(in, line)) {
-        if (line.empty())
-            continue;
-        if (line[0] == '#') {
-            // Header: "# mealib-trace sampled=<n> total=<n>"
-            auto s = line.find("sampled=");
-            auto tt = line.find("total=");
-            fatalIf(s == std::string::npos || tt == std::string::npos,
-                    "trace: malformed header '", line, "'");
-            t.sampledBytes = std::strtoull(line.c_str() + s + 8,
-                                           nullptr, 10);
-            t.totalBytes = std::strtoull(line.c_str() + tt + 6, nullptr,
-                                         10);
-            header = true;
-            continue;
-        }
-        std::istringstream ls(line);
-        char op = 0;
-        Addr addr = 0;
-        std::uint32_t bytes = 0;
-        ls >> op >> addr >> bytes;
-        fatalIf(ls.fail() || (op != 'R' && op != 'W') || bytes == 0,
-                "trace: malformed request line '", line, "'");
-        t.requests.push_back({addr, bytes, op == 'W'});
-    }
-    fatalIf(!header, "trace: missing header line");
-    fatalIf(t.requests.empty(), "trace: no requests");
-    return t;
-}
 
 TraceBuilder::TraceBuilder(const DramParams &params,
                            std::uint64_t maxSampledBytes)

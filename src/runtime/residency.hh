@@ -70,6 +70,8 @@ class IntervalSet
     void clear() { ranges_.clear(); }
     bool empty() const { return ranges_.empty(); }
     std::size_t rangeCount() const { return ranges_.size(); }
+    /** The ranges in address order, lo -> hi. */
+    const std::map<Addr, Addr> &ranges() const { return ranges_; }
 
   private:
     std::map<Addr, Addr> ranges_; //!< lo -> hi, disjoint, coalesced

@@ -104,6 +104,15 @@ validated(const RuntimeConfig &cfg)
 /** The thread's session ledger; runtime posts mirror into it. */
 thread_local EnergyLedger *tlSessionLedger = nullptr;
 
+/** All of @p joules attributed to one physical component. */
+Breakdown
+energyOf(const char *component, double joules)
+{
+    Breakdown b;
+    b.add(component, joules);
+    return b;
+}
+
 } // namespace
 
 EnergyLedger *
@@ -121,36 +130,27 @@ boundSessionLedger()
 }
 
 void
-MealibRuntime::postLedger(const std::string &track, const Cost &c,
-                          const std::string &label)
+MealibRuntime::charge(const std::string &track, const Cost &c,
+                      const std::string &label, const Breakdown &energy,
+                      double flops)
 {
-    ledger_.post(track, c, label);
-    if (tlSessionLedger != nullptr && tlSessionLedger != &ledger_)
-        tlSessionLedger->post(track, c, label);
-}
-
-void
-MealibRuntime::attributeLedger(const std::string &component,
-                               double joules)
-{
-    ledger_.attribute(component, joules);
-    if (tlSessionLedger != nullptr && tlSessionLedger != &ledger_)
-        tlSessionLedger->attribute(component, joules);
-}
-
-void
-MealibRuntime::addFlopsLedger(double flops)
-{
-    ledger_.addFlops(flops);
-    if (tlSessionLedger != nullptr && tlSessionLedger != &ledger_)
-        tlSessionLedger->addFlops(flops);
+    EnergyLedger *mirror =
+        tlSessionLedger != &acct_.ledger ? tlSessionLedger : nullptr;
+    for (EnergyLedger *l : {&acct_.ledger, mirror}) {
+        if (l == nullptr)
+            continue;
+        l->post(track, c, label);
+        for (const auto &[component, joules] : energy.parts())
+            l->attribute(component, joules);
+        if (flops != 0.0)
+            l->addFlops(flops);
+    }
 }
 
 MealibRuntime::MealibRuntime(const RuntimeConfig &cfg)
     : cfg_(validated(cfg)),
       mem_(std::make_unique<dram::PhysMem>(cfg.backingBytes)),
       host_(cfg.hostCpu), faults_(cfg.fault), mesh_(cfg.mesh),
-      slowdown_(cfg.numStacks, 1.0),
       health_(cfg.health, cfg.numStacks)
 {
     const std::uint64_t span = cfg.backingBytes / cfg.numStacks;
@@ -543,7 +543,7 @@ MealibRuntime::accSubmitOnLocked(AccPlanHandle handle, unsigned stackIdx)
         }
         acct_.flushBytesElided += plan.dirtyBytes - effDirtyBytes;
         if (effDirtyBytes < plan.dirtyBytes)
-            postLedger("reuse", Cost{}, "flush_elided");
+            charge("reuse", Cost{}, "flush_elided");
     }
     Cost flush = effDirtyBytes > 0 || !residencyOn
                      ? host_.flushCost(effDirtyBytes)
@@ -567,22 +567,29 @@ MealibRuntime::accSubmitOnLocked(AccPlanHandle handle, unsigned stackIdx)
         accel::decode(img, plan.descBytes);
 
     // End-to-end verification, functional side: checksum the read-only
-    // operand intervals before and after the execute. The fault model
+    // operand bytes before and after the execute. The fault model
     // never corrupts real buffers (faults shape cost, not values), so
     // a mismatch here means the functional engine itself scribbled
-    // over an input — a broken invariant worth catching in situ.
+    // over an input — a broken invariant worth catching in situ. Bytes
+    // some COMP of the plan writes are legitimately rewritten (a
+    // chained intermediate a later COMP reads), so only the read bytes
+    // no write interval covers are checked.
     const bool verifyFunctional =
         cfg_.functional && cfg_.integrity.enabled();
+    IntervalSet readOnly;
+    if (verifyFunctional) {
+        for (const AccessInterval &iv : plan.intervals)
+            if (!iv.write)
+                readOnly.insert(std::min<Addr>(iv.lo, mem_->size()),
+                                std::min<Addr>(iv.hi, mem_->size()));
+        for (const AccessInterval &iv : plan.intervals)
+            if (iv.write)
+                readOnly.erase(iv.lo, iv.hi);
+    }
     auto readChecksum = [&]() {
         fault::Checksum ck;
-        for (const AccessInterval &iv : plan.intervals) {
-            if (iv.write)
-                continue;
-            const Addr lo = std::min<Addr>(iv.lo, mem_->size());
-            const Addr hi = std::min<Addr>(iv.hi, mem_->size());
-            if (hi > lo)
-                ck.update(mem_->raw(lo, hi - lo), hi - lo);
-        }
+        for (const auto &[lo, hi] : readOnly.ranges())
+            ck.update(mem_->raw(lo, hi - lo), hi - lo);
         return ck.value();
     };
     const std::uint64_t srcSum = verifyFunctional ? readChecksum() : 0;
@@ -632,7 +639,7 @@ MealibRuntime::accSubmitOnLocked(AccPlanHandle handle, unsigned stackIdx)
         acct_.verifyBytesElided +=
             2 * (plan.transferBytes - effVerifyBytes);
         if (effVerifyBytes < plan.transferBytes)
-            postLedger("reuse", Cost{}, "verify_elided");
+            charge("reuse", Cost{}, "verify_elided");
     }
     // Host-side source checksum: one pass over the operand footprint
     // before the transfer (the re-verify passes after link crossings
@@ -679,7 +686,6 @@ MealibRuntime::accSubmitOnLocked(AccPlanHandle handle, unsigned stackIdx)
     es.total += es.integrity;
     es.checkpoints = at.checkpoints;
     es.resumed = at.resumed;
-    acct_.integrity += es.integrity;
     acct_.silentDetected += at.silentDetected;
     acct_.silentUndetected += at.silentUndetected;
     acct_.checkpointsTaken += at.checkpoints;
@@ -699,35 +705,30 @@ MealibRuntime::accSubmitOnLocked(AccPlanHandle handle, unsigned stackIdx)
     es.invocation += flush + handshake;
     es.total += flush + handshake;
 
-    acct_.invocation += es.invocation;
     Cost accel_only{es.total.seconds - es.invocation.seconds -
                         es.integrity.seconds,
                     es.total.joules - es.invocation.joules -
                         es.integrity.joules};
-    acct_.accel += accel_only;
     for (const auto &[k, v] : es.timeByAccel.parts())
         acct_.timeByAccel.add(k, v);
     for (const auto &[k, v] : es.energyByAccel.parts())
         acct_.energyByAccel.add(k, v);
 
-    // Ledger: mirror the accounting exactly, then attribute the energy
-    // to physical components (the attribution view covers the whole
-    // posted energy: dram+logic+noc+link+fault == the accel track,
-    // "invocation" the invocation track).
-    postLedger("invocation", es.invocation, "flush+handshake");
-    postLedger("accel", accel_only, "execute");
-    for (const auto &[k, v] : es.energyByComponent.parts())
-        attributeLedger(k, v);
+    // Charge the ledger and attribute the energy to physical components
+    // (the attribution view covers the whole posted energy:
+    // dram+logic+noc+link+fault == the accel track, "invocation" the
+    // invocation track).
+    charge("invocation", es.invocation, "flush+handshake",
+           energyOf("invocation", es.invocation.joules));
+    Breakdown accelEnergy = es.energyByComponent;
     if (es.remote.joules != 0.0)
-        attributeLedger("link", es.remote.joules);
+        accelEnergy.add("link", es.remote.joules);
     if (es.faultPenalty.joules != 0.0)
-        attributeLedger("fault", es.faultPenalty.joules);
-    attributeLedger("invocation", es.invocation.joules);
-    if (es.integrity.seconds != 0.0 || es.integrity.joules != 0.0) {
-        postLedger("integrity", es.integrity, "verify+journal");
-        attributeLedger("integrity", es.integrity.joules);
-    }
-    addFlopsLedger(es.flops);
+        accelEnergy.add("fault", es.faultPenalty.joules);
+    charge("accel", accel_only, "execute", accelEnergy, es.flops);
+    if (es.integrity.seconds != 0.0 || es.integrity.joules != 0.0)
+        charge("integrity", es.integrity, "verify+journal",
+               energyOf("integrity", es.integrity.joules));
 
     // --- timeline: place the command on its stack's queue -------------
     hostWork(flush.seconds + handshake.seconds + integHost.seconds);
@@ -748,10 +749,8 @@ MealibRuntime::accSubmitOnLocked(AccPlanHandle handle, unsigned stackIdx)
                 ready = std::max(ready, pa.finishSeconds);
 
     // Stack occupancy: clean span plus verification, journaling and any
-    // fault-recovery time, scaled by the stack's degradation factor
-    // (1.0 while healthy — exact).
-    const double spanBase = at.occupancySeconds;
-    const double occupancy = spanBase * slowdown_[stackIdx];
+    // fault-recovery time.
+    const double occupancy = at.occupancySeconds;
 
     const double start = std::max(ready, q.busyUntilSeconds());
     const double finish = start + occupancy;
@@ -766,7 +765,7 @@ MealibRuntime::accSubmitOnLocked(AccPlanHandle handle, unsigned stackIdx)
     state->startSeconds = start;
     state->finishSeconds = finish;
     state->epoch = epoch_;
-    state->spanSeconds = spanBase;
+    state->spanSeconds = occupancy;
     state->intervals = plan.intervals;
     state->command = cmd;
     // Replay granularity for a post-hoc stack death: the fraction of
@@ -801,15 +800,8 @@ MealibRuntime::accSubmitOnLocked(AccPlanHandle handle, unsigned stackIdx)
         // fallback is synchronous on the host track, so the event is
         // already complete when the submit returns.
         hostWaitUntil(finish);
-        Cost c = host_.run(fallbackProfile(es));
-        hostWork(c.seconds);
-        acct_.host += c;
-        postLedger("host", c, "fault_fallback");
-        attributeLedger("host", c.joules);
-        acct_.fallbackSeconds += c.seconds;
-        acct_.fallbackCount++;
+        es.total += fallBackToHost(es);
         es.fellBack = true;
-        es.total += c;
         state->state = EventState::FellBack;
         state->onHost = true;
         state->finishSeconds = hostSeconds_;
@@ -1013,8 +1005,7 @@ MealibRuntime::failStackLocked(unsigned stackIdx)
                 resumeFrac = journal_.lastFractionAtOrBefore(
                     state->command, execFrac);
             }
-            const double span = state->spanSeconds *
-                                (1.0 - resumeFrac) * slowdown_[dest];
+            const double span = state->spanSeconds * (1.0 - resumeFrac);
             q2.push(ready, ready + span);
             acct_.busyByStack.add("stack" + std::to_string(dest), span);
             state->stack = dest;
@@ -1031,13 +1022,7 @@ MealibRuntime::failStackLocked(unsigned stackIdx)
                 pending_.push_back({iv, state->finishSeconds,
                                     state->id});
         } else if (cfg_.retry.hostFallback) {
-            Cost c = host_.run(fallbackProfile(state->stats));
-            hostWork(c.seconds);
-            acct_.host += c;
-            postLedger("host", c, "fault_fallback");
-            attributeLedger("host", c.joules);
-            acct_.fallbackSeconds += c.seconds;
-            acct_.fallbackCount++;
+            const Cost c = fallBackToHost(state->stats);
             state->stats.fellBack = true;
             state->stats.total += c;
             state->state = EventState::FellBack;
@@ -1070,26 +1055,6 @@ MealibRuntime::healthyStackCount() const
 {
     std::lock_guard<std::mutex> lock(mu_);
     return sched_->healthyCount();
-}
-
-void
-MealibRuntime::degradeStack(unsigned stackIdx, double slowdown)
-{
-    fatalIf(stackIdx >= cfg_.numStacks, "degradeStack: stack ",
-            stackIdx, " out of range (", cfg_.numStacks, " stacks)");
-    fatalIf(slowdown < 1.0, "degradeStack: slowdown must be >= 1, got ",
-            slowdown);
-    std::lock_guard<std::mutex> lock(mu_);
-    slowdown_[stackIdx] = slowdown;
-}
-
-double
-MealibRuntime::stackSlowdown(unsigned stackIdx) const
-{
-    fatalIf(stackIdx >= cfg_.numStacks, "stackSlowdown: stack ",
-            stackIdx, " out of range (", cfg_.numStacks, " stacks)");
-    std::lock_guard<std::mutex> lock(mu_);
-    return slowdown_[stackIdx];
 }
 
 StackHealth
@@ -1341,8 +1306,8 @@ MealibRuntime::submitError(Status status)
     return Event(this, state);
 }
 
-host::KernelProfile
-MealibRuntime::fallbackProfile(const accel::ExecStats &es) const
+Cost
+MealibRuntime::fallBackToHost(const accel::ExecStats &es)
 {
     // The minimkl naive kernels the host falls back to: scalar
     // (1/8 of SIMD issue), single-threaded, cache-unfriendly streaming.
@@ -1354,7 +1319,12 @@ MealibRuntime::fallbackProfile(const accel::ExecStats &es) const
     p.simdEff = 0.125;
     p.parallelFraction = 0.0;
     p.memEff = 0.5;
-    return p;
+    const Cost c = host_.run(p);
+    hostWork(c.seconds);
+    charge("host", c, "fault_fallback", energyOf("host", c.joules));
+    acct_.fallbackSeconds += c.seconds;
+    acct_.fallbackCount++;
+    return c;
 }
 
 Event
@@ -1379,13 +1349,7 @@ MealibRuntime::submitOnHost(Plan &plan, unsigned targetStack,
                 ready = std::max(ready, pa.finishSeconds);
     hostWaitUntil(ready);
 
-    Cost c = host_.run(fallbackProfile(es));
-    hostWork(c.seconds);
-    acct_.host += c;
-    postLedger("host", c, "fault_fallback");
-    attributeLedger("host", c.joules);
-    acct_.fallbackSeconds += c.seconds;
-    acct_.fallbackCount++;
+    const Cost c = fallBackToHost(es);
     acct_.retryCount += retries;
 
     accel::ExecStats hostStats;
@@ -1437,7 +1401,7 @@ MealibRuntime::noteFusion(std::uint64_t comps)
     std::lock_guard<std::mutex> lock(mu_);
     acct_.fusedPrograms++;
     acct_.handshakesElided += comps - 1;
-    postLedger("reuse", Cost{}, "fused_program");
+    charge("reuse", Cost{}, "fused_program");
 }
 
 Cost
@@ -1445,11 +1409,8 @@ MealibRuntime::runOnHost(const host::KernelProfile &profile)
 {
     std::lock_guard<std::mutex> lock(mu_);
     Cost c = host_.run(profile);
-    acct_.host += c;
-    postLedger("host", c,
-                 profile.name.empty() ? "host_kernel" : profile.name);
-    attributeLedger("host", c.joules);
-    addFlopsLedger(profile.flops);
+    charge("host", c, profile.name.empty() ? "host_kernel" : profile.name,
+           energyOf("host", c.joules), profile.flops);
     hostWork(c.seconds);
     updateMakespan();
     return c;
@@ -1460,7 +1421,6 @@ MealibRuntime::resetAccounting()
 {
     std::lock_guard<std::mutex> lock(mu_);
     acct_ = RuntimeAccounting{};
-    ledger_.reset();
     hostSeconds_ = 0.0;
     pending_.clear();
     inflight_.clear();
@@ -1471,7 +1431,6 @@ MealibRuntime::resetAccounting()
     epoch_++;
     cmdIndex_ = 0;
     faults_.reset();
-    slowdown_.assign(cfg_.numStacks, 1.0);
     health_.reset();
     journal_.reset();
     residency_.reset();

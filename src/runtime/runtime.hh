@@ -154,15 +154,14 @@ struct RuntimeConfig
 /** Opaque plan handle (the acc_plan of Listing 2). */
 using AccPlanHandle = std::uint64_t;
 
-/** Cumulative accounting for the Fig. 13/14 style breakdowns. */
-struct RuntimeAccounting
+/**
+ * Cumulative accounting for the Fig. 13/14 style breakdowns. The
+ * host/accel/invocation/integrity costs and total() are views of the
+ * runtime's energy ledger (LedgerCosts): every modeled Cost the runtime
+ * charges is posted there once, and read back from there.
+ */
+struct RuntimeAccounting : LedgerCosts
 {
-    Cost host;        //!< host-executed (compute-bounded) work
-    Cost accel;       //!< accelerator-executed work
-    Cost invocation;  //!< flush + descriptor copy + config overheads
-    /** Operand verification + checkpoint journaling (zero unless the
-     * integrity/checkpoint layers are enabled). */
-    Cost integrity;
     Breakdown timeByAccel;
     Breakdown energyByAccel;
 
@@ -215,12 +214,6 @@ struct RuntimeAccounting
     std::uint64_t fusedPrograms = 0;
     /** accPlan() calls served from the encoded-image memo. */
     std::uint64_t planImageReuses = 0;
-
-    Cost
-    total() const
-    {
-        return host + accel + invocation + integrity;
-    }
 
     /** Wall-clock saved by host/accelerator and stack/stack overlap:
      * serial total minus the overlap-aware critical path. */
@@ -358,17 +351,6 @@ class MealibRuntime
     /** Stacks not marked failed. */
     unsigned healthyStackCount() const;
 
-    /**
-     * Mark @p stack degraded: commands it executes occupy the timeline
-     * @p slowdown times longer (>= 1). The serial cost ledger is
-     * unchanged — degradation is visible in the overlap-aware view
-     * (makespan, busyByStack). Reset by resetAccounting().
-     */
-    void degradeStack(unsigned stack, double slowdown);
-
-    /** Current timeline slowdown factor of @p stack (1 = healthy). */
-    double stackSlowdown(unsigned stack) const;
-
     /** The seeded fault injector (history log lives here). */
     const fault::FaultModel &faultModel() const { return faults_; }
 
@@ -399,15 +381,15 @@ class MealibRuntime
     const RuntimeAccounting &accounting() const { return acct_; }
 
     /**
-     * Cross-layer energy ledger (docs/MODEL.md): posted at exactly the
-     * points accounting() accumulates, so ledger().total() equals
-     * accounting().total() identically; additionally attributes energy
-     * to physical components (dram/logic/noc/link/fault/host) and
-     * aggregates per-label events. External layers (the dispatcher,
-     * the apps) may post their own entries.
+     * Cross-layer energy ledger (docs/MODEL.md): the store accounting()
+     * reads its costs from, so ledger().total() equals
+     * accounting().total(); additionally attributes energy to physical
+     * components (dram/logic/noc/link/fault/host) and aggregates
+     * per-label events. External layers (the dispatcher) may note
+     * their own zero-cost events.
      */
-    EnergyLedger &ledger() { return ledger_; }
-    const EnergyLedger &ledger() const { return ledger_; }
+    EnergyLedger &ledger() { return acct_.ledger; }
+    const EnergyLedger &ledger() const { return acct_.ledger; }
 
     /** Reset the cost ledger and the async timeline (queues, clocks,
      * hazard state, scheduler cursor) — not the memory state.
@@ -500,14 +482,16 @@ class MealibRuntime
     const accel::ExecStats &
     eventWaitLocked(const std::shared_ptr<detail::EventState> &state);
 
-    // --- session-ledger mirroring (docs/SESSIONS.md) -------------------
-
-    /** Post to the aggregate ledger and mirror into the calling
-     * thread's bound session ledger (if any). */
-    void postLedger(const std::string &track, const Cost &c,
-                    const std::string &label = "");
-    void attributeLedger(const std::string &component, double joules);
-    void addFlopsLedger(double flops);
+    /**
+     * The one place a modeled Cost accumulates: post @p c to @p track
+     * of the runtime's ledger (event @p label), attribute @p energy
+     * (component -> joules) and record @p flops of useful work, then
+     * mirror the same updates into the calling thread's bound session
+     * ledger, if any (docs/SESSIONS.md).
+     */
+    void charge(const std::string &track, const Cost &c,
+                const std::string &label, const Breakdown &energy = {},
+                double flops = 0.0);
 
     /** Advance the host track doing work (counts as busy time). */
     void hostWork(double seconds);
@@ -530,9 +514,10 @@ class MealibRuntime
     /** Terminal FAILED event for an invalid submission; not enqueued. */
     Event submitError(Status status);
 
-    /** Host-side re-execution profile of a plan whose accelerator run
-     * produced @p es (the minimkl naive-kernel cost model). */
-    host::KernelProfile fallbackProfile(const accel::ExecStats &es) const;
+    /** Re-execute, on the host track, a plan whose accelerator run
+     * produced @p es (priced by the minimkl naive-kernel cost model)
+     * and charge it as a fault fallback. @return its cost. */
+    Cost fallBackToHost(const accel::ExecStats &es);
 
     /** Execute @p plan entirely on the host track (no healthy stack).
      * @p cmd is the global submission index, @p retries the attempts
@@ -598,7 +583,6 @@ class MealibRuntime
     std::uint64_t imageUseTick_ = 0;
     AccPlanHandle nextHandle_ = 1;
     RuntimeAccounting acct_;
-    EnergyLedger ledger_;
 
     // --- async timeline state (reset by resetAccounting) ---------------
     std::unique_ptr<Scheduler> sched_;
@@ -612,7 +596,6 @@ class MealibRuntime
     // --- fault-injection state (reset by resetAccounting) --------------
     fault::FaultModel faults_;
     noc::Mesh mesh_; //!< CRC replay penalties on the SerDes/NoC links
-    std::vector<double> slowdown_; //!< per-stack degradation factor
     std::uint64_t cmdIndex_ = 0;   //!< global submission counter
 
     // --- integrity/checkpoint/health state (reset by resetAccounting) --

@@ -25,6 +25,16 @@ functionalRt()
     return rt;
 }
 
+/** A fresh functional runtime with end-to-end verification on. */
+runtime::RuntimeConfig
+integrityConfig()
+{
+    runtime::RuntimeConfig c;
+    c.backingBytes = 128_MiB;
+    c.integrity.verifyTransfers = true;
+    return c;
+}
+
 TEST(Stap, HostAndMealibProduceIdenticalOutput)
 {
     StapParams p = StapParams::smallSet();
@@ -87,8 +97,8 @@ TEST(Stap, BreakdownShapeMatchesFig14)
     StapResult mea = runStapMealib(p, functionalRt());
 
     // Fig. 14a: the host dominates both time and energy.
-    double t_host = mea.host.seconds / mea.total().seconds;
-    double e_host = mea.host.joules / mea.total().joules;
+    double t_host = mea.host().seconds / mea.total().seconds;
+    double e_host = mea.host().joules / mea.total().joules;
     EXPECT_GT(t_host, 0.5);
     EXPECT_GT(e_host, t_host); // energy share exceeds time share
 
@@ -102,8 +112,8 @@ TEST(Stap, BreakdownShapeMatchesFig14)
 
     // Invocation cost stays a small share of the accelerator total.
     double inv_share =
-        mea.invocation.seconds /
-        (mea.invocation.seconds + mea.accel.seconds);
+        mea.invocation().seconds /
+        (mea.invocation().seconds + mea.accel().seconds);
     EXPECT_LT(inv_share, 0.5);
 }
 
@@ -216,6 +226,37 @@ TEST(Stap, LedgerTotalsMatchResultAccounting)
                 1e-12 * host.total().joules);
     EXPECT_NEAR(host.ledger.total().seconds, host.total().seconds,
                 1e-12 * host.total().seconds);
+
+    // With verification on, the integrity track is part of total().
+    runtime::MealibRuntime verified(integrityConfig());
+    StapResult checked = runStapMealib(p, verified);
+    ASSERT_GT(checked.integrity().seconds, 0.0);
+    EXPECT_NEAR(checked.ledger.total().seconds, checked.total().seconds,
+                1e-12 * checked.total().seconds);
+    EXPECT_NEAR(checked.ledger.total().joules, checked.total().joules,
+                1e-12 * checked.total().joules);
+}
+
+TEST(Integrity, ChainedIntermediatesPassTheFunctionalSelfCheck)
+{
+    // STAP descriptor 1 (reshape writes `mid`, the FFT reads it) and the
+    // hardware-chained SAR pass (resample -> FFT) both read bytes an
+    // earlier COMP of the same program wrote. The functional self-check
+    // must not mistake that for a corrupted input.
+    StapParams p = StapParams::smallSet();
+    runtime::MealibRuntime stapRt(integrityConfig());
+    StapResult mea = runStapMealib(p, stapRt);
+    StapResult host = runStapHost(p);
+    ASSERT_EQ(mea.prods.size(), host.prods.size());
+    for (std::size_t i = 0; i < mea.prods.size(); ++i)
+        ASSERT_EQ(mea.prods[i], host.prods[i]);
+
+    runtime::MealibRuntime sarRt(integrityConfig());
+    SarResult hw = runSarChain(64, true, sarRt);
+    SarResult sw = runSarChain(64, false, functionalRt());
+    ASSERT_EQ(hw.image.size(), sw.image.size());
+    for (std::size_t i = 0; i < hw.image.size(); ++i)
+        ASSERT_EQ(hw.image[i], sw.image[i]);
 }
 
 } // namespace

@@ -398,8 +398,8 @@ TEST(ChaosSoak, DisabledResilienceLayersAreBitForBitNeutral)
     EXPECT_EQ(a.total().seconds, b.total().seconds);
     EXPECT_EQ(a.total().joules, b.total().joules);
     EXPECT_EQ(a.makespanSeconds, b.makespanSeconds);
-    EXPECT_EQ(b.integrity.seconds, 0.0);
-    EXPECT_EQ(b.integrity.joules, 0.0);
+    EXPECT_EQ(b.integrity().seconds, 0.0);
+    EXPECT_EQ(b.integrity().joules, 0.0);
     EXPECT_EQ(b.silentDetected + b.silentUndetected, 0u);
     EXPECT_EQ(b.checkpointsTaken, 0u);
     EXPECT_EQ(b.resumedFromCheckpoint, 0u);

@@ -281,48 +281,5 @@ TEST(TraceBuilder, GatherStaysInRegion)
     }
 }
 
-TEST(TraceIo, RoundTripsExactly)
-{
-    DramParams p = hmcStack();
-    TraceBuilder tb(p, 1_MiB);
-    tb.addLinear(0, 256_KiB, false);
-    tb.addLinear(1_MiB, 128_KiB, true);
-    Trace t = tb.build();
-    Trace back = readTrace(writeTrace(t));
-    ASSERT_EQ(back.requests.size(), t.requests.size());
-    EXPECT_EQ(back.sampledBytes, t.sampledBytes);
-    EXPECT_EQ(back.totalBytes, t.totalBytes);
-    for (std::size_t i = 0; i < t.requests.size(); ++i) {
-        EXPECT_EQ(back.requests[i].addr, t.requests[i].addr);
-        EXPECT_EQ(back.requests[i].bytes, t.requests[i].bytes);
-        EXPECT_EQ(back.requests[i].isWrite, t.requests[i].isWrite);
-    }
-}
-
-TEST(TraceIo, ReplayedTraceSimulatesIdentically)
-{
-    DramParams p = hmcStack();
-    Stack s(p);
-    TraceBuilder tb(p, 1_MiB);
-    tb.addLinear(0, 512_KiB, false);
-    Trace t = tb.build();
-    RunStats direct = s.run(t);
-    RunStats replay = s.run(readTrace(writeTrace(t)));
-    EXPECT_DOUBLE_EQ(replay.seconds, direct.seconds);
-    EXPECT_DOUBLE_EQ(replay.energyJ, direct.energyJ);
-}
-
-TEST(TraceIo, MalformedInputIsFatal)
-{
-    EXPECT_THROW(readTrace(""), FatalError);
-    EXPECT_THROW(readTrace("R 0 32\n"), FatalError); // no header
-    EXPECT_THROW(readTrace("# mealib-trace sampled=1 total=1\n"
-                           "X 0 32\n"),
-                 FatalError);
-    EXPECT_THROW(readTrace("# mealib-trace sampled=1 total=1\n"
-                           "R 0 0\n"),
-                 FatalError);
-}
-
 } // namespace
 } // namespace mealib::dram

@@ -356,10 +356,10 @@ TEST(Queue, ExecuteMatchesSubmitPlusWait)
 
     RuntimeAccounting sync = run(false);
     RuntimeAccounting async = run(true);
-    EXPECT_DOUBLE_EQ(sync.accel.seconds, async.accel.seconds);
-    EXPECT_DOUBLE_EQ(sync.accel.joules, async.accel.joules);
-    EXPECT_DOUBLE_EQ(sync.invocation.seconds, async.invocation.seconds);
-    EXPECT_DOUBLE_EQ(sync.invocation.joules, async.invocation.joules);
+    EXPECT_DOUBLE_EQ(sync.accel().seconds, async.accel().seconds);
+    EXPECT_DOUBLE_EQ(sync.accel().joules, async.accel().joules);
+    EXPECT_DOUBLE_EQ(sync.invocation().seconds, async.invocation().seconds);
+    EXPECT_DOUBLE_EQ(sync.invocation().joules, async.invocation().joules);
     EXPECT_DOUBLE_EQ(sync.makespanSeconds, async.makespanSeconds);
 }
 
@@ -465,12 +465,12 @@ TEST(Queue, ResetProducesIdenticalBackToBackLedgers)
     rt.resetAccounting();
     RuntimeAccounting second = workload();
 
-    EXPECT_DOUBLE_EQ(first.host.seconds, second.host.seconds);
-    EXPECT_DOUBLE_EQ(first.host.joules, second.host.joules);
-    EXPECT_DOUBLE_EQ(first.accel.seconds, second.accel.seconds);
-    EXPECT_DOUBLE_EQ(first.accel.joules, second.accel.joules);
-    EXPECT_DOUBLE_EQ(first.invocation.seconds, second.invocation.seconds);
-    EXPECT_DOUBLE_EQ(first.invocation.joules, second.invocation.joules);
+    EXPECT_DOUBLE_EQ(first.host().seconds, second.host().seconds);
+    EXPECT_DOUBLE_EQ(first.host().joules, second.host().joules);
+    EXPECT_DOUBLE_EQ(first.accel().seconds, second.accel().seconds);
+    EXPECT_DOUBLE_EQ(first.accel().joules, second.accel().joules);
+    EXPECT_DOUBLE_EQ(first.invocation().seconds, second.invocation().seconds);
+    EXPECT_DOUBLE_EQ(first.invocation().joules, second.invocation().joules);
     EXPECT_DOUBLE_EQ(first.makespanSeconds, second.makespanSeconds);
     EXPECT_DOUBLE_EQ(first.hostBusySeconds, second.hostBusySeconds);
     EXPECT_DOUBLE_EQ(first.busyByStack.get("stack0"),

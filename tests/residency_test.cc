@@ -144,11 +144,11 @@ TEST(Residency, ChainedCommandsHaveNonIncreasingInvocationCost)
 
     std::vector<double> deltas;
     for (int k = 0; k < 5; ++k) {
-        const double before = rt.accounting().invocation.seconds;
+        const double before = rt.accounting().invocation().seconds;
         auto h = rt.accPlan(d);
         rt.accExecute(h);
         rt.accDestroy(h);
-        deltas.push_back(rt.accounting().invocation.seconds - before);
+        deltas.push_back(rt.accounting().invocation().seconds - before);
     }
     // Warm invocations elide the flush entirely: strictly cheaper than
     // the cold one, then flat.
@@ -178,11 +178,11 @@ TEST(Residency, HostWriteHazardRestoresColdFlushCost)
     d.addPassEnd();
 
     auto step = [&] {
-        const double before = rt.accounting().invocation.seconds;
+        const double before = rt.accounting().invocation().seconds;
         auto h = rt.accPlan(d);
         rt.accExecute(h);
         rt.accDestroy(h);
-        return rt.accounting().invocation.seconds - before;
+        return rt.accounting().invocation().seconds - before;
     };
     const double cold = step();
     const double warm = step();
@@ -299,8 +299,8 @@ TEST(Residency, SarChainElidesFlushesWithIdenticalImage)
                           roff.image.size() * sizeof(cfloat)),
               0);
     EXPECT_GT(on.accounting().flushBytesElided, 0u);
-    EXPECT_LT(on.accounting().invocation.seconds,
-              off.accounting().invocation.seconds);
+    EXPECT_LT(on.accounting().invocation().seconds,
+              off.accounting().invocation().seconds);
     // Off-path neutrality: no reuse counter may move.
     EXPECT_EQ(off.accounting().flushBytesElided, 0u);
     EXPECT_EQ(off.accounting().verifyBytesElided, 0u);
@@ -325,7 +325,7 @@ TEST(Residency, StapChainElidesFlushesWithIdenticalProducts)
                           roff.prods.size() * sizeof(cfloat)),
               0);
     EXPECT_GT(on.accounting().flushBytesElided, 0u);
-    EXPECT_LE(ron.invocation.seconds, roff.invocation.seconds);
+    EXPECT_LE(ron.invocation().seconds, roff.invocation().seconds);
 }
 
 TEST(Residency, DisabledLayersAreBitForBitDeterministic)
@@ -437,8 +437,8 @@ TEST(Fusion, FusedChainIsNumericallyIdenticalAndCheaper)
 
     // Fewer invocations: the fused run's flush+handshake cost is
     // strictly below the unfused run's.
-    EXPECT_LT(fused.accounting().invocation.seconds,
-              unfused.accounting().invocation.seconds);
+    EXPECT_LT(fused.accounting().invocation().seconds,
+              unfused.accounting().invocation().seconds);
 }
 
 TEST(Fusion, WindowFlushesOnSyncBeforeHostReadback)

@@ -318,16 +318,16 @@ TEST(Runtime, InvocationCostsAccumulate)
 
     AccPlanHandle h = rt.accPlan(prog);
     rt.accExecute(h);
-    double inv1 = rt.accounting().invocation.seconds;
+    double inv1 = rt.accounting().invocation().seconds;
     rt.accExecute(h); // plans are reusable (Listing 2)
-    double inv2 = rt.accounting().invocation.seconds;
+    double inv2 = rt.accounting().invocation().seconds;
     rt.accDestroy(h);
 
     EXPECT_GT(inv1, 0.0);
     EXPECT_NEAR(inv2, 2.0 * inv1, inv1 * 0.01);
     // Tiny op: the wbinvd flush should dominate the accelerator time.
-    EXPECT_GT(rt.accounting().invocation.seconds,
-              rt.accounting().accel.seconds);
+    EXPECT_GT(rt.accounting().invocation().seconds,
+              rt.accounting().accel().seconds);
 }
 
 TEST(Runtime, DestroyedPlanCannotExecute)
@@ -380,8 +380,8 @@ TEST(Runtime, HostWorkAccountsSeparately)
     p.bytesRead = 1e6;
     Cost c = rt.runOnHost(p);
     EXPECT_GT(c.seconds, 0.0);
-    EXPECT_DOUBLE_EQ(rt.accounting().host.seconds, c.seconds);
-    EXPECT_DOUBLE_EQ(rt.accounting().accel.seconds, 0.0);
+    EXPECT_DOUBLE_EQ(rt.accounting().host().seconds, c.seconds);
+    EXPECT_DOUBLE_EQ(rt.accounting().accel().seconds, 0.0);
 }
 
 TEST(Runtime, LoopDescriptorCheaperThanManyDescriptors)
@@ -484,11 +484,11 @@ TEST(Ledger, TotalsMirrorAccountingExactly)
 
     // Track view: accel + invocation + host partition the total.
     EXPECT_DOUBLE_EQ(rt.ledger().track("accel").seconds,
-                     rt.accounting().accel.seconds);
+                     rt.accounting().accel().seconds);
     EXPECT_DOUBLE_EQ(rt.ledger().track("host").joules,
-                     rt.accounting().host.joules);
+                     rt.accounting().host().joules);
     EXPECT_DOUBLE_EQ(rt.ledger().track("invocation").joules,
-                     rt.accounting().invocation.joules);
+                     rt.accounting().invocation().joules);
 
     // Component attribution (dram/logic/noc/host/invocation/...) is a
     // partition of the same joules.

@@ -326,5 +326,85 @@ TEST(SessionTorture, MixedAppsAcrossSessions)
               0);
 }
 
+// --- cross-layer accounting pin ---------------------------------------
+
+TEST(CrossLayer, EveryLayerOnKeepsOneConsistentLedger)
+{
+    // STAP, SAR and CG on one 2-stack runtime with residency, integrity,
+    // checkpoints every 4 COMPs and faults recovered by host fallback,
+    // split over two sessions (fusion windows 1 and 4). The layers are
+    // each pinned alone elsewhere; this pins them together.
+    const apps::StapParams p = apps::StapParams::smallSet();
+    mkl::CsrMatrix a = apps::cgTestMatrix(500, 3);
+    std::vector<float> b(500, 1.0f);
+    apps::CgOptions opts;
+    opts.exclusive = false;
+    std::vector<mkl::cfloat> stap_solo, sar_solo;
+    std::vector<float> cg_solo;
+    {
+        runtime::MealibRuntime solo(testConfig());
+        stap_solo = apps::runStapMealib(p, solo).prods;
+        sar_solo = apps::runSarChain(64, false, solo, 7).image;
+        cg_solo = apps::solveCgMealib(a, b, solo, opts).x;
+    }
+
+    runtime::RuntimeConfig cfg = testConfig();
+    cfg.residency.enabled = true;
+    cfg.integrity.verifyTransfers = true;
+    cfg.checkpoint.intervalComps = 4;
+    cfg.fault.seed = 5;
+    cfg.fault.eccCorrectableRate = 0.1;
+    cfg.fault.eccUncorrectableRate = 0.1;
+    cfg.fault.linkCrcRate = 0.1;
+    cfg.fault.hangRate = 0.1;
+    cfg.fault.computeTransientRate = 0.1;
+    cfg.retry.hostFallback = true;
+    runtime::MealibRuntime rt(cfg);
+    SessionOptions one, four;
+    one.policy = four.policy = "accel";
+    one.fusionWindow = 1;
+    four.fusionWindow = 4;
+    Session s1(rt, one), s4(rt, four);
+
+    std::vector<mkl::cfloat> stap_out, sar_hw, sar_sw;
+    std::vector<float> cg_out;
+    std::thread t1([&] {
+        SessionBinding bound = s1.bind();
+        stap_out = apps::runStapMealib(p, rt, /*exclusive=*/false).prods;
+        sar_hw = apps::runSarChain(64, true, rt, 7).image;
+    });
+    std::thread t4([&] {
+        SessionBinding bound = s4.bind();
+        cg_out = apps::solveCgMealib(a, b, rt, opts).x;
+        sar_sw = apps::runSarChain(64, false, rt, 7).image;
+    });
+    t1.join();
+    t4.join();
+    rt.waitAll();
+
+    EXPECT_EQ(stap_out, stap_solo);
+    EXPECT_EQ(sar_hw, sar_solo);
+    EXPECT_EQ(sar_sw, sar_solo);
+    EXPECT_EQ(cg_out, cg_solo);
+
+    const runtime::RuntimeAccounting &acct = rt.accounting();
+    ASSERT_GT(acct.integrity().seconds, 0.0);
+    ASSERT_GT(acct.retryCount + acct.fallbackCount, 0u);
+    ASSERT_GT(acct.checkpointsTaken, 0u);
+    const Cost agg = acct.total();
+    EXPECT_DOUBLE_EQ(rt.ledger().total().seconds, agg.seconds);
+    EXPECT_DOUBLE_EQ(rt.ledger().total().joules, agg.joules);
+
+    const Cost sum = s1.ledger().total() + s4.ledger().total();
+    EXPECT_NEAR(sum.seconds, agg.seconds, 1e-9 * agg.seconds);
+    EXPECT_NEAR(sum.joules, agg.joules, 1e-9 * agg.joules);
+
+    // Component attribution partitions each ledger's joules.
+    for (const EnergyLedger *l : {&rt.ledger(), &s1.ledger(), &s4.ledger()}) {
+        const double j = l->total().joules;
+        EXPECT_NEAR(l->energyByComponent().total(), j, 1e-12 * j);
+    }
+}
+
 } // namespace
 } // namespace mealib

@@ -78,7 +78,10 @@
  * runtime — multi-tenancy must not change anyone's numbers — and the
  * per-session energy ledgers are summed against the shared runtime's
  * aggregate accounting. Any digest mismatch or ledger-sum divergence
- * exits 1.
+ * exits 1. Both runs build their RuntimeConfig from the same flags and
+ * defaults; a flag that does nothing on the chosen run (--repeat,
+ * --bind, --params, --dispatch-json, --cost-only with --clients;
+ * --app without it) or that mealib-run does not know exits 2.
  *
  * --machine=M selects the hardware-model profile every layer prices
  * against (haswell4770k | xeonphi5110p, aliases haswell | phi); it
@@ -93,6 +96,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -173,7 +177,11 @@ printHelp(const std::string &program)
         "                         against ONE shared runtime (no TDL\n"
         "                         file); outputs verified against solo\n"
         "                         digests, session ledgers summed\n"
-        "                         against the aggregate accounting\n"
+        "                         against the aggregate accounting;\n"
+        "                         every runtime, fault, resilience,\n"
+        "                         reuse and dispatch-policy flag\n"
+        "                         applies, --repeat/--bind/--params/\n"
+        "                         --dispatch-json/--cost-only exit 2\n"
         "  --app=A                stap | sar | cg | mix (default mix)\n"
         "\n"
         "dispatch & output:\n"
@@ -192,7 +200,8 @@ printHelp(const std::string &program)
         "                         --offload-policy)\n"
         "\n"
         "exit codes: 0 success, 1 internal error, 2 usage/config\n"
-        "error, 3 unrecoverable command (structured stderr).\n",
+        "error (incl. an unknown flag, or one that does nothing on the\n"
+        "chosen run), 3 unrecoverable command (structured stderr).\n",
         program.c_str());
 }
 
@@ -523,6 +532,139 @@ runDispatched(runtime::MealibRuntime &rt,
     return 0;
 }
 
+/** Flags only a TDL program run reads. */
+const std::set<std::string> kProgramFlags = {
+    "params", "bind", "cost-only", "repeat", "dispatch-json"};
+
+/** Flags only the --clients driver reads. */
+const std::set<std::string> kClientFlags = {"clients", "app"};
+
+/** Flags both runs read. */
+const std::set<std::string> kSharedFlags = {
+    "help", "verbose", "machine", "arena-mib", "stacks", "queue-depth",
+    "scheduler", "fault-seed", "fault-rate", "silent-rate", "fail-stack",
+    "watchdog-us", "max-retries", "no-host-fallback", "integrity",
+    "checkpoint-interval", "quarantine-threshold", "quarantine-window",
+    "quarantine-probation", "quarantine-canaries", "quarantine-strikes",
+    "residency", "fusion-window", "offload-policy", "energy-json"};
+
+/** InvalidArgument naming the first flag that is unknown or does
+ * nothing on the chosen run (a knob must take effect or be rejected). */
+Status
+checkFlags(const Cli &cli, bool clients)
+{
+    auto invalid = [](const std::string &msg) {
+        return Status::error(ErrorCode::InvalidArgument, msg);
+    };
+    if (clients && !cli.positional().empty())
+        return invalid("a TDL program does nothing with --clients");
+    for (const auto &[flag, value] : cli.options()) {
+        const bool program = kProgramFlags.count(flag) != 0;
+        const bool client = kClientFlags.count(flag) != 0;
+        if (!program && !client && kSharedFlags.count(flag) == 0)
+            return invalid("unknown flag --" + flag + "; see --help");
+        if (clients && program)
+            return invalid("--" + flag + " does nothing with --clients");
+        if (!clients && client)
+            return invalid("--" + flag + " needs --clients");
+    }
+    return Status();
+}
+
+/**
+ * The runtime configuration of both runs, from the flags and the
+ * defaults --help documents. Selects --machine first: RuntimeConfig's
+ * defaults come from the active machine profile.
+ */
+runtime::RuntimeConfig
+buildConfig(const Cli &cli)
+{
+    auto invalid = [](const std::string &msg) {
+        return MealibError(
+            Status::error(ErrorCode::InvalidArgument, msg));
+    };
+    const std::string machine = cli.get("machine", "");
+    if (!machine.empty())
+        hwmodel::setActiveMachine(machine).orThrow();
+
+    runtime::RuntimeConfig cfg;
+    cfg.functional = !cli.has("cost-only");
+    cfg.backingBytes = static_cast<std::uint64_t>(
+                           cli.getInt("arena-mib", 64))
+                       << 20;
+    cfg.numStacks = static_cast<unsigned>(cli.getInt("stacks", 1));
+    cfg.queueDepth = static_cast<unsigned>(cli.getInt("queue-depth", 8));
+    const std::string sched = cli.get("scheduler", "locality");
+    if (sched != "round_robin" && sched != "rr" && sched != "locality")
+        throw invalid("unknown scheduler policy '" + sched +
+                      "' (expected 'round_robin' or 'locality')");
+    cfg.scheduler = runtime::schedulerPolicy(sched);
+
+    // --- fault injection (docs/FAULTS.md) ------------------------------
+    const std::int64_t seed = cli.getInt("fault-seed", 0);
+    if (seed < 0)
+        throw invalid("--fault-seed must be non-negative (got " +
+                      std::to_string(seed) + ")");
+    cfg.fault.seed = static_cast<std::uint64_t>(seed);
+    const double rate = cli.getDouble("fault-rate", 0.0);
+    cfg.fault.eccCorrectableRate = rate;
+    cfg.fault.eccUncorrectableRate = rate;
+    cfg.fault.linkCrcRate = rate;
+    cfg.fault.hangRate = rate;
+    cfg.fault.computeTransientRate = rate;
+    cfg.fault.silentCorruptionRate = cli.getDouble("silent-rate", 0.0);
+    const std::string fail_spec = cli.get("fail-stack", "");
+    if (!fail_spec.empty()) {
+        auto at = fail_spec.find('@');
+        cfg.fault.failStack = static_cast<unsigned>(
+            std::strtoul(fail_spec.c_str(), nullptr, 0));
+        if (at != std::string::npos)
+            cfg.fault.failStackAfter =
+                std::strtoull(fail_spec.c_str() + at + 1, nullptr, 0);
+    }
+    cfg.watchdogSeconds =
+        cli.getDouble("watchdog-us", cfg.watchdogSeconds * 1e6) * 1e-6;
+    cfg.retry.maxRetries = static_cast<unsigned>(
+        cli.getInt("max-retries", cfg.retry.maxRetries));
+    if (cli.has("no-host-fallback"))
+        cfg.retry.hostFallback = false;
+
+    // --- integrity / checkpoint / health (docs/FAULTS.md) --------------
+    cfg.integrity.verifyTransfers = cli.has("integrity");
+    cfg.checkpoint.intervalComps =
+        static_cast<unsigned>(cli.getInt("checkpoint-interval", 0));
+    cfg.health.quarantineThreshold =
+        cli.getDouble("quarantine-threshold", 0.0);
+    cfg.health.windowCommands = static_cast<unsigned>(
+        cli.getInt("quarantine-window", cfg.health.windowCommands));
+    cfg.health.probationAfterCommands = static_cast<unsigned>(cli.getInt(
+        "quarantine-probation", cfg.health.probationAfterCommands));
+    cfg.health.canaryCommands = static_cast<unsigned>(
+        cli.getInt("quarantine-canaries", cfg.health.canaryCommands));
+    cfg.health.maxStrikes = static_cast<unsigned>(
+        cli.getInt("quarantine-strikes", cfg.health.maxStrikes));
+
+    // --- residency (docs/RUNTIME.md) -----------------------------------
+    if (cli.has("residency"))
+        cfg.residency.enabled = true;
+    return cfg;
+}
+
+/** --fusion-window, defaulting to MEALIB_FUSION_WINDOW; at least 1. */
+unsigned
+fusionWindow(const Cli &cli)
+{
+    const std::int64_t w = cli.getInt(
+        "fusion-window",
+        static_cast<std::int64_t>(dispatch::fusionWindowFromEnv()));
+    if (w < 1) {
+        throw MealibError(
+            Status::error(ErrorCode::InvalidArgument,
+                          "--fusion-window must be at least 1"));
+    }
+    return static_cast<unsigned>(w);
+}
+
 } // namespace
 
 int
@@ -542,25 +684,18 @@ main(int argc, char **argv)
     setVerbose(cli.has("verbose"));
 
     try {
+        const bool clients = cli.has("clients");
+        checkFlags(cli, clients).orThrow();
+
         // --- multi-tenant driver (docs/SESSIONS.md) --------------------
-        if (cli.has("clients")) {
-            const std::string machine = cli.get("machine", "");
-            if (!machine.empty())
-                hwmodel::setActiveMachine(machine).orThrow();
+        if (clients) {
             const std::int64_t n = cli.getInt("clients", 0);
             if (n < 1) {
                 throw MealibError(
                     Status::error(ErrorCode::InvalidArgument,
                                   "--clients must be at least 1"));
             }
-            runtime::RuntimeConfig cfg;
-            cfg.backingBytes = static_cast<std::uint64_t>(
-                                   cli.getInt("arena-mib", 256))
-                               << 20;
-            cfg.numStacks =
-                static_cast<unsigned>(cli.getInt("stacks", 2));
-            cfg.queueDepth =
-                static_cast<unsigned>(cli.getInt("queue-depth", 8));
+            const runtime::RuntimeConfig cfg = buildConfig(cli);
             SessionOptions sopts;
             sopts.policy = cli.get("offload-policy", "");
             if (!sopts.policy.empty() &&
@@ -569,8 +704,7 @@ main(int argc, char **argv)
                     ErrorCode::InvalidArgument,
                     "--offload-policy '" + sopts.policy +
                         "' is not host|accel|crossover|calibrated"));
-            sopts.fusionWindow = static_cast<unsigned>(
-                cli.getInt("fusion-window", 0));
+            sopts.fusionWindow = fusionWindow(cli);
             return runClients(cli, cfg, static_cast<unsigned>(n),
                               cli.get("app", "mix"), sopts,
                               cli.get("energy-json", ""));
@@ -588,94 +722,8 @@ main(int argc, char **argv)
         };
         accel::DescriptorProgram prog = tdl::compileTdl(tdl, resolve);
 
-        // Must precede RuntimeConfig: its defaults come from the active
-        // machine profile.
-        const std::string machine = cli.get("machine", "");
-        if (!machine.empty())
-            hwmodel::setActiveMachine(machine).orThrow();
-
-        runtime::RuntimeConfig cfg;
-        cfg.functional = !cli.has("cost-only");
-        cfg.backingBytes = static_cast<std::uint64_t>(
-                               cli.getInt("arena-mib", 64))
-                           << 20;
-        cfg.numStacks = static_cast<unsigned>(cli.getInt("stacks", 1));
-        cfg.queueDepth =
-            static_cast<unsigned>(cli.getInt("queue-depth", 8));
-        const std::string sched = cli.get("scheduler", "locality");
-        if (sched != "round_robin" && sched != "rr" &&
-            sched != "locality") {
-            throw MealibError(Status::error(
-                ErrorCode::InvalidArgument,
-                "unknown scheduler policy '" + sched +
-                    "' (expected 'round_robin' or 'locality')"));
-        }
-        cfg.scheduler = runtime::schedulerPolicy(sched);
-
-        // --- fault injection (docs/FAULTS.md) --------------------------
-        const std::int64_t seed = cli.getInt("fault-seed", 0);
-        if (seed < 0) {
-            std::fprintf(stderr,
-                         "%s: --fault-seed must be non-negative "
-                         "(got %lld)\n",
-                         cli.program().c_str(),
-                         static_cast<long long>(seed));
-            return 2;
-        }
-        cfg.fault.seed = static_cast<std::uint64_t>(seed);
-        const double rate = cli.getDouble("fault-rate", 0.0);
-        cfg.fault.eccCorrectableRate = rate;
-        cfg.fault.eccUncorrectableRate = rate;
-        cfg.fault.linkCrcRate = rate;
-        cfg.fault.hangRate = rate;
-        cfg.fault.computeTransientRate = rate;
-        cfg.fault.silentCorruptionRate =
-            cli.getDouble("silent-rate", 0.0);
-        const std::string fail_spec = cli.get("fail-stack", "");
-        if (!fail_spec.empty()) {
-            auto at = fail_spec.find('@');
-            cfg.fault.failStack = static_cast<unsigned>(
-                std::strtoul(fail_spec.c_str(), nullptr, 0));
-            if (at != std::string::npos)
-                cfg.fault.failStackAfter = std::strtoull(
-                    fail_spec.c_str() + at + 1, nullptr, 0);
-        }
-        cfg.watchdogSeconds =
-            cli.getDouble("watchdog-us", cfg.watchdogSeconds * 1e6) *
-            1e-6;
-        cfg.retry.maxRetries = static_cast<unsigned>(cli.getInt(
-            "max-retries", cfg.retry.maxRetries));
-        if (cli.has("no-host-fallback"))
-            cfg.retry.hostFallback = false;
-
-        // --- integrity / checkpoint / health (docs/FAULTS.md) ----------
-        cfg.integrity.verifyTransfers = cli.has("integrity");
-        cfg.checkpoint.intervalComps = static_cast<unsigned>(
-            cli.getInt("checkpoint-interval", 0));
-        cfg.health.quarantineThreshold =
-            cli.getDouble("quarantine-threshold", 0.0);
-        cfg.health.windowCommands = static_cast<unsigned>(cli.getInt(
-            "quarantine-window", cfg.health.windowCommands));
-        cfg.health.probationAfterCommands =
-            static_cast<unsigned>(cli.getInt(
-                "quarantine-probation",
-                cfg.health.probationAfterCommands));
-        cfg.health.canaryCommands = static_cast<unsigned>(cli.getInt(
-            "quarantine-canaries", cfg.health.canaryCommands));
-        cfg.health.maxStrikes = static_cast<unsigned>(cli.getInt(
-            "quarantine-strikes", cfg.health.maxStrikes));
-
-        // --- residency / fusion (docs/RUNTIME.md) ----------------------
-        if (cli.has("residency"))
-            cfg.residency.enabled = true;
-        const unsigned fusion_window = static_cast<unsigned>(cli.getInt(
-            "fusion-window",
-            static_cast<std::int64_t>(dispatch::fusionWindowFromEnv())));
-        if (fusion_window < 1) {
-            throw MealibError(
-                Status::error(ErrorCode::InvalidArgument,
-                              "--fusion-window must be at least 1"));
-        }
+        const runtime::RuntimeConfig cfg = buildConfig(cli);
+        const unsigned fusion_window = fusionWindow(cli);
 
         runtime::MealibRuntime rt(cfg);
 
@@ -794,8 +842,8 @@ main(int argc, char **argv)
             std::printf("integrity: %.6f ms / %.6f mJ verify+journal, "
                         "%llu checkpoint(s), %llu resume(s), silent "
                         "%llu caught / %llu missed\n",
-                        acct.integrity.seconds * 1e3,
-                        acct.integrity.joules * 1e3,
+                        acct.integrity().seconds * 1e3,
+                        acct.integrity().joules * 1e3,
                         static_cast<unsigned long long>(
                             acct.checkpointsTaken),
                         static_cast<unsigned long long>(
