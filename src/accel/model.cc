@@ -143,14 +143,43 @@ AccelModel::buildTrace(const OpCall &c, const LoopSpec &loop) const
     return info;
 }
 
+AccelModel::TracePrice
+AccelModel::priceTrace(const OpCall &call, const LoopSpec &loop) const
+{
+    const TraceKey key{call.n,
+                       call.m,
+                       call.k,
+                       call.elemBytes(),
+                       {operandIterations(call.in0, loop),
+                        operandIterations(call.in1, loop),
+                        operandIterations(call.in2, loop),
+                        operandIterations(call.in3, loop),
+                        operandIterations(call.out, loop)}};
+
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto &[k, price] : memo_)
+        if (k == key)
+            return price;
+
+    // Stack::run resets every vault first, so the replay depends on
+    // the trace alone, and the trace on the key alone.
+    TraceInfo info = buildTrace(call, loop);
+    TracePrice price{stack_->run(info.trace), info.gatherBytes,
+                     info.trace.totalBytes};
+    if (memo_.size() == kTraceMemoCap)
+        memo_.erase(memo_.begin()); // oldest first
+    memo_.emplace_back(key, price);
+    return price;
+}
+
 AccelEstimate
 AccelModel::estimate(const OpCall &call, const LoopSpec &loop) const
 {
     const std::uint64_t iters = loop.iterations();
     fatalIf(iters == 0, "estimate: empty loop");
 
-    TraceInfo info = buildTrace(call, loop);
-    dram::RunStats mem = stack_->run(info.trace);
+    const TracePrice price = priceTrace(call, loop);
+    const dram::RunStats &mem = price.mem;
 
     AccelEstimate e;
     e.memSeconds = mem.seconds;
@@ -160,7 +189,7 @@ AccelModel::estimate(const OpCall &call, const LoopSpec &loop) const
     // (misses x row-cycle latency / MSHRs), independent of the stack's
     // streaming bandwidth. This is what makes the SPMV design space of
     // Fig. 11 scale with PE count.
-    if (info.gatherBytes > 0.0) {
+    if (price.gatherBytes > 0.0) {
         const dram::TimingParams &tm = dramParams_.timing;
         double miss_lat = static_cast<double>(tm.tRP + tm.tRCD +
                                               tm.tCAS + tm.tBURST) *
@@ -171,10 +200,9 @@ AccelModel::estimate(const OpCall &call, const LoopSpec &loop) const
                          kMshrsPerPe *
                          static_cast<double>(tm.burstBytes) / miss_lat;
         double stream_bytes =
-            static_cast<double>(info.trace.totalBytes) -
-            info.gatherBytes;
+            static_cast<double>(price.totalBytes) - price.gatherBytes;
         double lat_bound =
-            info.gatherBytes / conc_bw +
+            price.gatherBytes / conc_bw +
             stream_bytes / dramParams_.peakInternalBandwidth();
         e.memSeconds = std::max(e.memSeconds, lat_bound);
     }

@@ -9,7 +9,13 @@
 #ifndef MEALIB_ACCEL_MODEL_HH
 #define MEALIB_ACCEL_MODEL_HH
 
+#include <array>
+#include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <mutex>
+#include <utility>
+#include <vector>
 
 #include "accel/config.hh"
 #include "accel/ops.hh"
@@ -75,7 +81,11 @@ class AccelModel
                const dram::DramParams &dram,
                const noc::MeshParams &mesh);
 
-    /** Estimate @p call iterated over @p loop. */
+    /**
+     * Estimate @p call iterated over @p loop. The DRAM replay is
+     * remembered per call shape, so repeating a shape costs only the
+     * analytical tail; the result is bit-identical either way.
+     */
     AccelEstimate estimate(const OpCall &call,
                            const LoopSpec &loop = {}) const;
 
@@ -85,6 +95,13 @@ class AccelModel
     /** Peak PE throughput (flop/s) of this configuration. */
     double peakFlops() const;
 
+    /**
+     * Distinct call shapes whose DRAM price the model remembers; the
+     * oldest entry is evicted first (docs/MODEL.md, "DRAM trace
+     * pricing").
+     */
+    static constexpr std::size_t kTraceMemoCap = 32;
+
   private:
     /** A built trace plus pattern metadata the estimator needs. */
     struct TraceInfo
@@ -93,17 +110,50 @@ class AccelModel
         double gatherBytes = 0.0; //!< latency-bound random traffic
     };
 
+    /**
+     * Everything buildTrace() reads from a call: its dimensions, the
+     * element size, and how many loop iterations move each operand
+     * (in0..in3, out). Operand bases, alpha/beta and inc never shape
+     * the trace.
+     */
+    struct TraceKey
+    {
+        std::uint64_t n = 0;
+        std::uint64_t m = 0;
+        std::uint64_t k = 0;
+        std::uint64_t elemBytes = 0;
+        std::array<double, 5> iterations{};
+
+        bool operator==(const TraceKey &) const = default;
+    };
+
+    /** The DRAM part of an estimate: a pure function of the trace. */
+    struct TracePrice
+    {
+        dram::RunStats mem;
+        double gatherBytes = 0.0;
+        std::uint64_t totalBytes = 0; //!< traffic of the full trace
+    };
+
     /** Build the sampled DRAM trace for the whole looped call. */
     TraceInfo buildTrace(const OpCall &call, const LoopSpec &loop) const;
+
+    /** Replay the call's trace, or return the remembered replay of an
+     * earlier call with the same TraceKey. */
+    TracePrice priceTrace(const OpCall &call, const LoopSpec &loop) const;
 
     AccelKind kind_;
     AccelConfig cfg_;
     dram::DramParams dramParams_;
     noc::Mesh mesh_;
-    // The stack is mutated during trace simulation; the model is
-    // logically const, so keep it behind a unique_ptr and reset state
-    // per estimate.
+    /** Guards stack_ and the memo: estimate() is logically const and
+     * may be called from several threads. */
+    mutable std::mutex mu_;
+    // The stack is mutated during trace simulation and reset before
+    // every replay.
     std::unique_ptr<dram::Stack> stack_;
+    /** Remembered prices, oldest first. */
+    mutable std::vector<std::pair<TraceKey, TracePrice>> memo_;
 };
 
 } // namespace mealib::accel

@@ -7,8 +7,8 @@
  * tryPhysOf(); null pointers keep the bases preset in the OpCall (the
  * TDL path) — submits it on the PR-1 command queues, and reports the
  * Event outcome as a Status. Operands outside the runtime arena make
- * execute() decline with InvalidArgument so the dispatcher records an
- * unmappable fallback and runs the host kernel instead.
+ * canMap() false, so the dispatcher records an unmappable fallback and
+ * runs the host kernel before anything is submitted.
  *
  * With a fusion window > 1 the backend batches adjacent accel-decided
  * calls homed on the same stack into ONE multi-COMP descriptor program
@@ -56,6 +56,14 @@ class RuntimeBackend final : public AccelBackend
     const char *name() const override { return "mealib-runtime"; }
 
     Status execute(const OpDesc &desc) override;
+
+    /** True when every host operand lies in the runtime arena. */
+    bool
+    canMap(const OpDesc &desc) const override
+    {
+        accel::OpCall call;
+        return mapCall(desc, &call).ok();
+    }
 
     /** Submit every buffered call as one fused program. Safe to call
      * with an empty window. The flush outcome only shapes modeled cost

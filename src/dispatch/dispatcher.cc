@@ -168,7 +168,7 @@ Dispatcher::run(const OpDesc &desc, const std::function<void()> &hostFn)
         reason = FallbackReason::NoBackend;
     else if (!desc.accelSupported)
         reason = FallbackReason::Unsupported;
-    else if (!desc.backendMappable)
+    else if (!desc.backendMappable || !backend->canMap(desc))
         reason = FallbackReason::Unmappable;
 
     if (reason == FallbackReason::None) {

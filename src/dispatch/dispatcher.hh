@@ -43,6 +43,14 @@ class AccelBackend
     virtual Status execute(const OpDesc &desc) = 0;
 
     /**
+     * Whether execute() can translate every operand of @p desc. A false
+     * answer is a pre-execution decline: the dispatcher records
+     * FallbackReason::Unmappable and runs the host path, whatever the
+     * op's rerunSafe. Default: every operand maps.
+     */
+    virtual bool canMap(const OpDesc &) const { return true; }
+
+    /**
      * Materialize every buffered execution. Backends that batch calls
      * (the runtime backend's fusion window) may return from execute()
      * with work still pending; the dispatcher syncs before any host

@@ -25,14 +25,14 @@ Vault::reset()
 }
 
 void
-Vault::serviceOne(const Request &req, VaultStats &stats)
+Vault::serviceOne(const Request &req, unsigned bankIdx, std::int64_t row,
+                  VaultStats &stats)
 {
     panicIf(req.bytes == 0 || req.bytes > timing_.burstBytes,
             "request size ", req.bytes, " exceeds burst size ",
             timing_.burstBytes);
 
-    Bank &bank = banks_[bankOf(req.addr)];
-    const std::int64_t row = static_cast<std::int64_t>(rowOf(req.addr));
+    Bank &bank = banks_[bankIdx];
 
     Cycles col_ready; // when the column command can issue
     if (bank.openRow == row) {
@@ -97,30 +97,38 @@ Vault::service(const std::vector<Request> &queue, Cycles start)
 
     // FR-FCFS-lite: within a bounded lookahead window pick the oldest
     // request that hits an open row; fall back to the oldest request.
-    std::vector<std::size_t> pending;
+    // A request's row and bank are decoded once, as it enters the
+    // window, rather than on every scan of it.
+    struct Pending
+    {
+        const Request *req;
+        std::int64_t row;
+        unsigned bank;
+    };
+    std::vector<Pending> pending;
     std::size_t next = 0;
     const std::size_t n = queue.size();
     pending.reserve(window_);
 
     while (next < n || !pending.empty()) {
-        while (next < n && pending.size() < window_)
-            pending.push_back(next++);
+        while (next < n && pending.size() < window_) {
+            const Request &r = queue[next++];
+            const std::uint64_t row = r.addr / org_.rowBytes;
+            pending.push_back({&r, static_cast<std::int64_t>(row),
+                               static_cast<unsigned>(
+                                   row % org_.banksPerVault)});
+        }
 
-        std::size_t pick = 0;
-        bool found_hit = false;
+        std::size_t pick = 0; // oldest overall unless a hit is found
         for (std::size_t i = 0; i < pending.size(); ++i) {
-            const Request &r = queue[pending[i]];
-            const Bank &b = banks_[bankOf(r.addr)];
-            if (b.openRow == static_cast<std::int64_t>(rowOf(r.addr))) {
+            if (banks_[pending[i].bank].openRow == pending[i].row) {
                 pick = i;
-                found_hit = true;
                 break; // oldest hit wins
             }
         }
-        if (!found_hit)
-            pick = 0; // oldest overall
 
-        serviceOne(queue[pending[pick]], stats);
+        const Pending &p = pending[pick];
+        serviceOne(*p.req, p.bank, p.row, stats);
         pending.erase(pending.begin() +
                       static_cast<std::ptrdiff_t>(pick));
     }

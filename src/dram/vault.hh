@@ -89,22 +89,10 @@ class Vault
         Cycles preReady = 0;       //!< earliest next precharge (tWR etc.)
     };
 
-    /** Row index of a vault-local address. */
-    std::uint64_t
-    rowOf(Addr a) const
-    {
-        return a / org_.rowBytes;
-    }
-
-    /** Bank index of a vault-local address. */
-    unsigned
-    bankOf(Addr a) const
-    {
-        return static_cast<unsigned>(rowOf(a) % org_.banksPerVault);
-    }
-
-    /** Service one request; updates bank and bus state. */
-    void serviceOne(const Request &req, VaultStats &stats);
+    /** Service one request whose address decodes to @p row of bank
+     * @p bankIdx; updates bank and bus state. */
+    void serviceOne(const Request &req, unsigned bankIdx, std::int64_t row,
+                    VaultStats &stats);
 
     TimingParams timing_;
     OrgParams org_;

@@ -493,6 +493,51 @@ TEST(RuntimeBackend, DeclinesOperandsOutsideAcceleratorMemory)
     DispatchStats s = disp.snapshot();
     EXPECT_EQ(s.of(OpKind::Axpy).offloaded, 0u);
     EXPECT_EQ(s.of(OpKind::Axpy).fallbacks, 1u);
+    EXPECT_EQ(s.of(OpKind::Axpy).fallbackBy[static_cast<std::size_t>(
+                  FallbackReason::Unmappable)],
+              1u);
+}
+
+TEST(RuntimeBackend, UnmappableSaxpyFallsBackInsteadOfThrowing)
+{
+    runtime::RuntimeConfig cfg;
+    cfg.backingBytes = 8ull << 20;
+    runtime::MealibRuntime rt(cfg);
+
+    Dispatcher disp(makePolicy("accel"));
+    RuntimeBackend backend(rt);
+    disp.attachBackend(&backend);
+
+    // saxpy accumulates into y, so it is not rerunSafe: the decline
+    // must be classified before submission for the host path to run.
+    const int n = 257;
+    std::vector<float> x(n), y(n);
+    for (int i = 0; i < n; ++i) {
+        x[i] = 0.25f * static_cast<float>(i) - 3.0f;
+        y[i] = 1.0f / static_cast<float>(i + 1);
+    }
+    std::vector<float> expect = y;
+    mkl::saxpy(n, 1.5f, x.data(), 1, expect.data(), 1);
+
+    OpDesc d = lowerSaxpy(n, 1.5f, x.data(), 1, y.data(), 1);
+    ASSERT_FALSE(d.rerunSafe);
+    EXPECT_FALSE(backend.canMap(d));
+    EXPECT_NO_THROW(disp.run(
+        d, [&] { mkl::saxpy(n, 1.5f, x.data(), 1, y.data(), 1); }));
+    disp.detachBackend();
+
+    EXPECT_EQ(std::memcmp(y.data(), expect.data(), y.size() * sizeof(float)),
+              0);
+    DispatchStats s = disp.snapshot();
+    const OpStats &axpy = s.of(OpKind::Axpy);
+    EXPECT_EQ(axpy.offloaded, 0u);
+    EXPECT_EQ(axpy.fallbacks, 1u);
+    EXPECT_EQ(axpy.fallbackBy[static_cast<std::size_t>(
+                  FallbackReason::Unmappable)],
+              1u);
+    EXPECT_EQ(axpy.fallbackBy[static_cast<std::size_t>(
+                  FallbackReason::BackendError)],
+              0u);
 }
 
 } // namespace

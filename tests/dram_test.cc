@@ -1,6 +1,9 @@
 // Tests for the 3D-DRAM simulator: timing invariants, row-buffer
 // behaviour, scheduling, energy accounting and trace sampling.
 
+#include <bit>
+#include <iterator>
+
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
@@ -243,6 +246,99 @@ TEST(TraceBuilder, InterleavesStreamsProportionally)
         (t.requests[i].isWrite ? writes : reads)++;
     EXPECT_NEAR(static_cast<double>(reads) / static_cast<double>(half),
                 0.5, 0.05);
+}
+
+/** The traces of the golden replay pin: streaming, strided and
+ * gather-dominated traffic, each sampled so extrapolation is covered. */
+Trace
+goldenTrace(int pattern, const DramParams &p)
+{
+    TraceBuilder tb(p, 256_KiB);
+    switch (pattern) {
+      case 0: // linear: one read stream, one write stream
+        tb.addLinear(0, 2_MiB, false);
+        tb.addLinear(16_MiB + 3 * p.org.rowBytes, 2_MiB, true);
+        break;
+      case 1: // strided: column walks that skip most of each row
+        tb.addStrided(0, 64, 4096 + 64, 4096, false);
+        tb.addStrided(8_MiB, 128, 8192, 2048, true);
+        break;
+      default: { // gather: random bursts plus a streamed result
+        Rng rng(0x5eedULL);
+        tb.addGather(0, 4_MiB, 8192,
+                     static_cast<std::uint32_t>(p.timing.burstBytes),
+                     false, rng);
+        tb.addLinear(32_MiB, 512_KiB, true);
+        break;
+      }
+    }
+    return tb.build();
+}
+
+/** One pinned replay: seconds and energy as IEEE-754 bit patterns. */
+struct GoldenRun
+{
+    const char *name;
+    std::uint64_t secondsBits;
+    std::uint64_t energyBits;
+    std::uint64_t rowHits;
+    std::uint64_t rowMisses;
+    std::uint64_t activates;
+    std::uint64_t refreshes;
+};
+
+// Recorded from the replay that re-derived bank and row on every
+// window scan; a faster replay must reproduce every field exactly.
+// Order: pattern x {hmcStack, ddr3(2)} x {Open, Closed}.
+constexpr GoldenRun kGoldenRuns[] = {
+    {"linear/hmc/open", 0x3ef82029b8828a56ULL, 0x3f1327906ce91a32ULL,
+     114496u, 16576u, 16576u, 0u},
+    {"linear/hmc/closed", 0x3f2b95fffe74dcefULL, 0x3f403bf06fb6eb93ULL,
+     0u, 131072u, 131072u, 1536u},
+    {"linear/ddr3x2/open", 0x3f263cd84d8975b5ULL, 0x3f3aa3b6f9eb1cacULL,
+     65008u, 528u, 528u, 32u},
+    {"linear/ddr3x2/closed", 0x3f5104eacb656e9aULL, 0x3f68569083c30342ULL,
+     0u, 65536u, 65536u, 240u},
+    {"strided/hmc/open", 0x3efcfbd30e7425dcULL, 0x3f109d409effd5a6ULL,
+     0u, 16384u, 16384u, 80u},
+    {"strided/hmc/closed", 0x3efcfbd30e7425dcULL, 0x3f109d409effd5a6ULL,
+     0u, 16384u, 16384u, 80u},
+    {"strided/ddr3x2/open", 0x3f04742b4b07654fULL, 0x3f22e8e470eb9495ULL,
+     4064u, 4128u, 4128u, 8u},
+    {"strided/ddr3x2/closed", 0x3f197daa7abd6073ULL, 0x3f346dc858c6804eULL,
+     0u, 8192u, 8192u, 22u},
+    {"gather/hmc/open", 0x3edae4d523aacc6aULL, 0x3ef76de5b891ae2cULL,
+     14470u, 10106u, 10106u, 0u},
+    {"gather/hmc/closed", 0x3eff022c5db499aeULL, 0x3f1399c38f5c7edfULL,
+     0u, 24576u, 24576u, 192u},
+    {"gather/ddr3x2/open", 0x3f196455142e8b2eULL, 0x3f354a88d0b1cdcaULL,
+     7998u, 8386u, 8386u, 20u},
+    {"gather/ddr3x2/closed", 0x3f32eeda93b4d331ULL, 0x3f4a178f80d27ccaULL,
+     0u, 16384u, 16384u, 68u},
+};
+
+TEST(Stack, ReplayMatchesGoldenPin)
+{
+    std::size_t i = 0;
+    for (int pattern = 0; pattern < 3; ++pattern) {
+        for (const DramParams &p : {hmcStack(), ddr3(2)}) {
+            for (PagePolicy policy : {PagePolicy::Open, PagePolicy::Closed}) {
+                const GoldenRun &g = kGoldenRuns[i++];
+                SCOPED_TRACE(g.name);
+                Stack s(p, policy);
+                RunStats r = s.run(goldenTrace(pattern, p));
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(r.seconds),
+                          g.secondsBits);
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(r.energyJ),
+                          g.energyBits);
+                EXPECT_EQ(r.rowHits, g.rowHits);
+                EXPECT_EQ(r.rowMisses, g.rowMisses);
+                EXPECT_EQ(r.activates, g.activates);
+                EXPECT_EQ(r.refreshes, g.refreshes);
+            }
+        }
+    }
+    EXPECT_EQ(i, std::size(kGoldenRuns));
 }
 
 TEST(TraceBuilder, ScaleReflectsSampling)

@@ -8,6 +8,7 @@
 #include "dram/params.hh"
 #include "dram/physmem.hh"
 #include "noc/mesh.hh"
+#include "runtime/runtime.hh"
 
 namespace mealib::accel {
 namespace {
@@ -185,6 +186,78 @@ TEST_F(LayerTest, InvocationScalesWithInstructionCount)
     ExecStats sb = layer_.execute(big, mem_);
     EXPECT_GT(sb.invocation.seconds, ss.invocation.seconds);
     EXPECT_EQ(sb.passes, 8u);
+}
+
+/** Seconds and joules of two costs, compared exactly. */
+void
+expectSameCost(const Cost &a, const Cost &b)
+{
+    EXPECT_EQ(a.seconds, b.seconds);
+    EXPECT_EQ(a.joules, b.joules);
+}
+
+TEST_F(LayerTest, RepeatedProgramCostsWhatAFreshLayerCharges)
+{
+    DescriptorProgram prog;
+    prog.addComp(resmpCall(0, 1_GiB, 4096));
+    prog.addComp(fftCall(1_GiB, 2_GiB, 8192));
+    prog.addPassEnd();
+
+    ExecStats first = layer_.execute(prog, mem_);
+    ExecStats repeat = layer_.execute(prog, mem_); // DRAM price remembered
+    AcceleratorLayer fresh(dram::hmcStack(), noc::mealibMesh(),
+                           /*functional=*/false);
+    ExecStats control = fresh.execute(prog, mem_);
+    for (const ExecStats *s : {&repeat, &control}) {
+        expectSameCost(s->total, first.total);
+        expectSameCost(s->invocation, first.invocation);
+        EXPECT_EQ(s->timeByAccel.parts(), first.timeByAccel.parts());
+        EXPECT_EQ(s->energyByAccel.parts(), first.energyByAccel.parts());
+        EXPECT_EQ(s->energyByComponent.parts(),
+                  first.energyByComponent.parts());
+        EXPECT_EQ(s->bytesMoved, first.bytesMoved);
+        EXPECT_EQ(s->flops, first.flops);
+    }
+}
+
+TEST(RuntimeLedger, SameCompTwicePostsIdenticalEntries)
+{
+    runtime::RuntimeConfig cfg;
+    cfg.functional = false;
+    cfg.backingBytes = 8_MiB;
+    cfg.residency.enabled = false;
+    runtime::MealibRuntime rt(cfg);
+
+    DescriptorProgram prog;
+    prog.addComp(fftCall(0, 4_MiB, 1 << 16));
+    prog.addPassEnd();
+    auto runOnce = [&] {
+        runtime::AccPlanHandle h = rt.accPlan(prog);
+        rt.accExecute(h);
+        rt.accDestroy(h);
+        EnergyLedger posted = rt.ledger();
+        rt.resetAccounting();
+        return posted;
+    };
+    const EnergyLedger first = runOnce();
+    const EnergyLedger second = runOnce(); // the model's memo answers
+
+    ASSERT_EQ(second.tracks().size(), first.tracks().size());
+    for (const auto &[track, cost] : first.tracks()) {
+        SCOPED_TRACE(track);
+        expectSameCost(second.track(track), cost);
+    }
+    ASSERT_EQ(second.events().size(), first.events().size());
+    for (const auto &[label, ev] : first.events()) {
+        SCOPED_TRACE(label);
+        auto it = second.events().find(label);
+        ASSERT_NE(it, second.events().end());
+        EXPECT_EQ(it->second.count, ev.count);
+        expectSameCost(it->second.cost, ev.cost);
+    }
+    EXPECT_EQ(second.energyByComponent().parts(),
+              first.energyByComponent().parts());
+    EXPECT_EQ(second.flops(), first.flops());
 }
 
 TEST_F(LayerTest, ModelAccessorExposesAllKinds)
