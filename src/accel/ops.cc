@@ -70,7 +70,7 @@ operandIterations(const OperandRef &op, const LoopSpec &loop)
     return t;
 }
 
-std::vector<OperandTraffic>
+OperandTrafficList
 operandTraffic(const OpCall &c, const LoopSpec &loop)
 {
     const double es = static_cast<double>(c.elemBytes());

@@ -15,6 +15,7 @@
 
 #include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -156,12 +157,38 @@ struct OperandTraffic
 };
 
 /**
+ * The traffic terms of one call: at most one per operand slot (in0-in3,
+ * out), held inline so that pricing a call allocates nothing.
+ */
+class OperandTrafficList
+{
+  public:
+    OperandTrafficList(std::initializer_list<OperandTraffic> terms)
+    {
+        for (const OperandTraffic &t : terms)
+            terms_[size_++] = t;
+    }
+
+    std::size_t size() const { return size_; }
+    const OperandTraffic *begin() const { return terms_.data(); }
+    const OperandTraffic *end() const { return terms_.data() + size_; }
+    const OperandTraffic &operator[](std::size_t i) const
+    {
+        return terms_[i];
+    }
+
+  private:
+    std::array<OperandTraffic, 5> terms_{};
+    std::size_t size_ = 0;
+};
+
+/**
  * Per-operand reuse-aware traffic of @p call over @p loop (the terms
  * loopedTrafficBytes() sums). Used by the runtime to price operands
  * that live on a remote memory stack.
  */
-std::vector<OperandTraffic> operandTraffic(const OpCall &call,
-                                           const LoopSpec &loop);
+OperandTrafficList operandTraffic(const OpCall &call,
+                                  const LoopSpec &loop);
 
 } // namespace mealib::accel
 

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstring>
 
-#include "common/logging.hh"
 #include "common/rng.hh"
 #include "dispatch/models.hh"
 #include "dispatch/ops.hh"
@@ -86,29 +85,6 @@ generateCube(const StapParams &p)
         }
     }
     return cube;
-}
-
-/** Unblocked complex Cholesky (lower) of a row-major n x n matrix. */
-void
-cpotrfLower(std::int64_t n, cfloat *a, std::int64_t lda)
-{
-    for (std::int64_t j = 0; j < n; ++j) {
-        double diag = a[j * lda + j].real();
-        for (std::int64_t k = 0; k < j; ++k)
-            diag -= std::norm(a[j * lda + k]);
-        fatalIf(diag <= 0.0, "cpotrf: matrix not positive definite");
-        float d = static_cast<float>(std::sqrt(diag));
-        a[j * lda + j] = {d, 0.0f};
-        for (std::int64_t i = j + 1; i < n; ++i) {
-            cfloat s = a[i * lda + j];
-            for (std::int64_t k = 0; k < j; ++k)
-                s -= a[i * lda + k] * std::conj(a[j * lda + k]);
-            a[i * lda + j] = s / d;
-        }
-        // zero the strict upper triangle so trsm sees clean data
-        for (std::int64_t k = j + 1; k < n; ++k)
-            a[j * lda + k] = {};
-    }
 }
 
 /** Steering matrix V: dofLen x nSteering, column sv per direction. */
@@ -203,7 +179,7 @@ computeWeights(const StapParams &p, const cfloat *snap, cfloat *weights,
             for (unsigned d = 0; d < l; ++d)
                 r[static_cast<std::size_t>(d) * l + d] +=
                     cfloat{0.1f * static_cast<float>(p.tbs), 0.0f};
-            cpotrfLower(l, r.data(), l);
+            mkl::cpotrf(l, r.data(), l);
 
             // Solve R w = v via L y = v, then L^H w = y.
             std::copy(v.begin(), v.end(), y.begin());

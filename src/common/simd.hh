@@ -94,6 +94,17 @@ struct Kernels
     /** y[k] += (ar + i*ai) * x[k] over n interleaved complex elements */
     void (*caxpy)(std::int64_t n, float ar, float ai, const float *x,
                   float *y);
+    /**
+     * For q = 0..count-1 in order, y[k] -= f_q * x[q][k] over n
+     * interleaved complex elements, f_q = f[2q] + i*f[2q+1]. Each step
+     * keeps std::complex operation order: bit-identical to the scalar
+     * `y -= f_q * x_q` loop for finite products. (caxpy with -f_q is
+     * not: it loses the sign of a zero product term.)
+     */
+    void (*csubMul)(std::int64_t n, std::int64_t count, const float *f,
+                    const float *const *x, float *y);
+    /** x[k] *= (ar + i*ai) in std::complex operation order */
+    void (*cscal)(std::int64_t n, float ar, float ai, float *x);
 
     // --- fixed-width reductions (8 f64 lanes, fixed combine tree) ----
     /** sum x[i] * y[i] in f64 */
@@ -132,6 +143,19 @@ struct Kernels
     void (*somatTile)(std::int64_t rows, std::int64_t cols, float alpha,
                       const float *a, std::int64_t lda, float *b,
                       std::int64_t ldb);
+    /**
+     * 4x8 Hermitian rank-k register tile over split re/im f64 planes
+     * (element (p, c) at re[p*ld + c] + i*im[p*ld + c]): for u < 4,
+     * v < 8, out[u*8 + v] = sum over p ascending of x*y with
+     * x = (p, i0 + u) and y = (p, j0 + v), x conjugated when
+     * @p conjLeft and y otherwise. Each element keeps one f64
+     * accumulator and adds (xr*yr - xi*yi, xr*yi + xi*yr) per step —
+     * the scalar cherk loop's exact sequence, so bit-identical to it.
+     * Columns i0..i0+3 and j0..j0+7 must lie inside the planes.
+     */
+    void (*herkTile)(std::int64_t k, std::int64_t ld, const double *re,
+                     const double *im, std::int64_t i0, std::int64_t j0,
+                     bool conjLeft, double *outRe, double *outIm);
 };
 
 /** Table for @p level; nullptr for Scalar or an unavailable level. */

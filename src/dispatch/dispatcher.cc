@@ -131,7 +131,7 @@ Dispatcher::decideLocked(const OpDesc &desc)
 }
 
 void
-Dispatcher::run(const OpDesc &desc, const std::function<void()> &hostFn)
+Dispatcher::run(const OpDesc &desc, HostFn hostFn)
 {
     Backend side;
     AccelBackend *backend;

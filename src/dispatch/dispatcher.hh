@@ -17,9 +17,9 @@
 #ifndef MEALIB_DISPATCH_DISPATCHER_HH
 #define MEALIB_DISPATCH_DISPATCHER_HH
 
-#include <functional>
 #include <memory>
 #include <mutex>
+#include <type_traits>
 
 #include "common/ledger.hh"
 #include "common/status.hh"
@@ -70,6 +70,33 @@ class AccelBackend
     virtual double healthyFraction() const { return 1.0; }
 };
 
+/**
+ * Non-owning reference to a `void()` callable: two words, no heap. The
+ * callable must outlive the call it is passed to, which a lambda
+ * argument of Dispatcher::run always does.
+ */
+class HostFn
+{
+  public:
+    template <typename F>
+        requires(!std::is_same_v<std::remove_cvref_t<F>, HostFn> &&
+                 std::is_invocable_v<F &>)
+    HostFn(F &&fn)
+        : obj_(const_cast<void *>(
+              static_cast<const void *>(std::addressof(fn)))),
+          call_([](void *obj) {
+              (*static_cast<std::remove_reference_t<F> *>(obj))();
+          })
+    {
+    }
+
+    void operator()() const { call_(obj_); }
+
+  private:
+    void *obj_;
+    void (*call_)(void *);
+};
+
 /** Policy-driven host/accelerator dispatch with telemetry. */
 class Dispatcher
 {
@@ -109,9 +136,10 @@ class Dispatcher
      * reruns @p hostFn when @p desc.rerunSafe; otherwise backend
      * *errors* propagate as MealibError (declines — no backend,
      * unsupported, unmappable — are detected before any execution and
-     * always fall back).
+     * always fall back). @p hostFn is borrowed, not copied: a call on
+     * the host side allocates nothing.
      */
-    void run(const OpDesc &desc, const std::function<void()> &hostFn);
+    void run(const OpDesc &desc, HostFn hostFn);
 
     /** Copy of the accumulated telemetry. */
     DispatchStats snapshot() const;

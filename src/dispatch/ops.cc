@@ -50,8 +50,23 @@ mkl::cfloat
 cdotc(std::int64_t n, const mkl::cfloat *x, std::int64_t incx,
       const mkl::cfloat *y, std::int64_t incy)
 {
+    // STAP issues ~1M of these per pass, nearly all of one shape. Each
+    // thread keeps its last lowering, flops and traffic priced once, and
+    // re-aims only the operand pointers while the shape repeats: a fresh
+    // OpDesc is a 448-byte zero fill, and repricing its traffic costs
+    // about as much again.
+    thread_local OpDesc d;
     mkl::cfloat r{};
-    OpDesc d = lowerCdotc(n, x, incx, y, incy, &r);
+    if (n > 0 && static_cast<std::uint64_t>(n) == d.call.n &&
+        incx == d.call.inc0 && incy == d.call.inc1) {
+        d.operands[0].host = x;
+        d.operands[1].host = y;
+        d.operands[4].host = &r;
+    } else {
+        d = lowerCdotc(n, x, incx, y, incy, &r);
+        d.flopsOverride = d.flops();
+        d.bytesOverride = d.bytes();
+    }
     currentDispatcher().run(
         d, [&] { r = mkl::cdotc(n, x, incx, y, incy); });
     return r;

@@ -386,6 +386,14 @@ cdotc(std::int64_t n, const cfloat *x, std::int64_t incx, const cfloat *y,
     const std::int64_t by = startIndex(n, incy);
     const simd::Kernels *sk =
         incx == 1 && incy == 1 ? simd::active() : nullptr;
+    const KernelTuning &t = kernelTuning();
+    if (sk != nullptr && n <= t.reduceChunk) {
+        // One reduction chunk: deterministicReduce would run exactly
+        // this call, so skip it (STAP issues ~1M of these per pass).
+        CAcc s;
+        sk->cdot(n, flat(x), flat(y), /*conjx=*/true, &s.re, &s.im);
+        return {static_cast<float>(s.re), static_cast<float>(s.im)};
+    }
     auto chunk = [&](std::int64_t b, std::int64_t e) {
         CAcc s;
         if (sk) {
@@ -404,7 +412,6 @@ cdotc(std::int64_t n, const cfloat *x, std::int64_t incx, const cfloat *y,
         }
         return s;
     };
-    const KernelTuning &t = kernelTuning();
     int threads = incx == 1 && incy == 1 ? t.threadsFor(2 * n) : 1;
     CAcc s = deterministicReduce<CAcc>(n, t.reduceChunk, threads, chunk,
                                        caccAdd);

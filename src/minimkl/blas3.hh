@@ -46,6 +46,14 @@ void ctrsm(Order order, Side side, Uplo uplo, Transpose trans, Diag diag,
            std::int64_t m, std::int64_t n, cfloat alpha, const cfloat *a,
            std::int64_t lda, cfloat *b, std::int64_t ldb);
 
+/**
+ * Cholesky factorization A = L * L^H of a Hermitian positive-definite
+ * row-major n x n matrix, in place: reads the lower triangle, writes L
+ * there and zeroes the strict upper triangle. fatal() when a pivot is
+ * not positive.
+ */
+void cpotrf(std::int64_t n, cfloat *a, std::int64_t lda);
+
 /** Single-precision real TRSM (same semantics as ctrsm). */
 void strsm(Order order, Side side, Uplo uplo, Transpose trans, Diag diag,
            std::int64_t m, std::int64_t n, float alpha, const float *a,

@@ -44,7 +44,7 @@ cf(void *p)
 
 /** The one seam every shim dispatches through. */
 void
-run(const dsp::OpDesc &desc, const std::function<void()> &hostFn)
+run(const dsp::OpDesc &desc, dsp::HostFn hostFn)
 {
     dsp::currentDispatcher().run(desc, hostFn);
 }

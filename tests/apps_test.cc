@@ -3,12 +3,16 @@
 // relationships.
 
 #include <complex>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
 #include "apps/sar.hh"
 #include "apps/stap.hh"
 #include "common/logging.hh"
+#include "common/parallel.hh"
+#include "common/simd.hh"
+#include "fault/integrity.hh"
 
 namespace mealib::apps {
 namespace {
@@ -43,6 +47,41 @@ TEST(Stap, HostAndMealibProduceIdenticalOutput)
     ASSERT_EQ(host.prods.size(), mea.prods.size());
     for (std::size_t i = 0; i < host.prods.size(); ++i)
         ASSERT_EQ(host.prods[i], mea.prods[i]) << "i=" << i;
+}
+
+// Golden FNV-1a 64 of runStapHost(smallSet()).prods, recorded before
+// the packed weight-stage kernels (cherk, ctrsm, cpotrf) landed; they
+// must leave it unchanged at every SIMD level and thread count. The
+// scalar and vector cdotc sum in different orders, but both accumulate
+// in double and round once to float, so on this input every level,
+// scalar included, lands on the same bits.
+constexpr std::uint64_t kStapProductsDigest = 0xbe462db845fb0bfbull;
+
+TEST(Stap, ProductsMatchGoldenDigestAtEveryLevelAndThreadCount)
+{
+    const KernelTuning saved = kernelTuning();
+    const StapParams p = StapParams::smallSet();
+    for (simd::SimdLevel level : simd::availableLevels()) {
+        kernelTuning().simd = level;
+        for (int threads : {1, 2, 8}) {
+            kernelTuning().numThreads = threads;
+            StapResult host = runStapHost(p);
+            StapResult mea = runStapMealib(p, functionalRt());
+            const std::size_t bytes =
+                host.prods.size() * sizeof(mkl::cfloat);
+            const std::uint64_t got =
+                fault::checksumBytes(host.prods.data(), bytes);
+            EXPECT_EQ(got, kStapProductsDigest)
+                << simd::name(level) << " threads=" << threads << " got 0x"
+                << std::hex << got;
+            ASSERT_EQ(mea.prods.size(), host.prods.size());
+            EXPECT_EQ(std::memcmp(mea.prods.data(), host.prods.data(),
+                                  bytes),
+                      0)
+                << simd::name(level) << " threads=" << threads;
+        }
+    }
+    kernelTuning() = saved;
 }
 
 TEST(Stap, OutputIsNonTrivial)

@@ -1,13 +1,20 @@
 // Tests for Level-3 BLAS: gemm vs oracle, cherk vs gemm, trsm vs
-// multiply-back, across layouts and parameter combinations.
+// multiply-back, cpotrf vs L*L^H, across layouts and parameter
+// combinations. The cherk/ctrsm/cpotrf matrices also pin every SIMD
+// level and thread count to the scalar result, bit for bit.
 
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
+#include "common/parallel.hh"
 #include "common/rng.hh"
+#include "common/simd.hh"
 #include "minimkl/blas3.hh"
 
 namespace mealib::mkl {
@@ -29,6 +36,64 @@ randomCVec(std::int64_t n, Rng &rng)
     for (auto &x : v)
         x = {rng.uniform(-1.0f, 1.0f), rng.uniform(-1.0f, 1.0f)};
     return v;
+}
+
+/**
+ * Restores the global tuning after each test, and lowers the parallel
+ * cutoff so that even the small matrices fan out across the pool.
+ */
+class Blas3Test : public ::testing::Test
+{
+  protected:
+    void
+    SetUp() override
+    {
+        saved_ = kernelTuning();
+        kernelTuning().parallelCutoff = 64;
+    }
+
+    void
+    TearDown() override
+    {
+        kernelTuning() = saved_;
+    }
+
+    KernelTuning saved_;
+};
+
+template <typename Param>
+class Blas3ParamTest : public Blas3Test,
+                       public ::testing::WithParamInterface<Param>
+{};
+
+/**
+ * Run @p kernel at every available SIMD level (scalar first) and at 1,
+ * 2 and 8 threads. Every run must equal the scalar single-thread run
+ * bit for bit; that run is returned for the oracle check.
+ */
+std::vector<cfloat>
+sameBitsEverywhere(const std::function<std::vector<cfloat>()> &kernel)
+{
+    std::vector<cfloat> ref;
+    bool first = true;
+    for (simd::SimdLevel level : simd::availableLevels()) {
+        kernelTuning().simd = level;
+        for (int threads : {1, 2, 8}) {
+            kernelTuning().numThreads = threads;
+            std::vector<cfloat> out = kernel();
+            if (first) {
+                ref = std::move(out);
+                first = false;
+                continue;
+            }
+            EXPECT_EQ(out.size(), ref.size());
+            EXPECT_EQ(std::memcmp(out.data(), ref.data(),
+                                  ref.size() * sizeof(cfloat)),
+                      0)
+                << simd::name(level) << " threads=" << threads;
+        }
+    }
+    return ref;
 }
 
 /** Unblocked row-major oracle for C := alpha*op(A)*op(B) + beta*C. */
@@ -193,32 +258,47 @@ cherkOracle(Uplo uplo, Transpose trans, std::int64_t n, std::int64_t k,
     }
 }
 
-class CherkCombos
-    : public ::testing::TestWithParam<std::tuple<Uplo, Transpose>>
-{};
+using CherkCombos = Blas3ParamTest<std::tuple<Uplo, Transpose>>;
 
 TEST_P(CherkCombos, MatchesOracle)
 {
+    // Row-major A is n x k (NoTrans) or k x n (ConjTrans), with a padded
+    // leading dimension whose padding holds a huge sentinel: reading it
+    // would wreck the result. C is padded too and must keep its padding
+    // and its unreferenced triangle.
     auto [uplo, trans] = GetParam();
-    const std::int64_t n = 10, k = 7;
-    Rng rng(51);
-    std::int64_t lda = trans == Transpose::NoTrans ? k : n;
-    auto a = randomCVec(n * k, rng);
-    auto c = randomCVec(n * n, rng);
-    // Make C Hermitian-ish on the diagonal as BLAS expects.
-    for (std::int64_t i = 0; i < n; ++i)
-        c[static_cast<std::size_t>(i * n + i)] = {
-            c[static_cast<std::size_t>(i * n + i)].real(), 0.0f};
-    auto c_ref = c;
+    for (std::int64_t n : {1, 3, 4, 5, 8, 9, 42, 65}) {
+        for (std::int64_t k : {1, 7, 32, 33}) {
+            SCOPED_TRACE("n=" + std::to_string(n) +
+                         " k=" + std::to_string(k));
+            Rng rng(static_cast<std::uint64_t>(51 + 100 * n + k));
+            const std::int64_t rows = trans == Transpose::NoTrans ? n : k;
+            const std::int64_t cols = trans == Transpose::NoTrans ? k : n;
+            const std::int64_t lda = cols + 3, ldc = n + 2;
+            std::vector<cfloat> a(static_cast<std::size_t>(rows * lda),
+                                  cfloat{1e30f, -1e30f});
+            for (std::int64_t r = 0; r < rows; ++r)
+                for (std::int64_t c = 0; c < cols; ++c)
+                    a[static_cast<std::size_t>(r * lda + c)] = {
+                        rng.uniform(-1.0f, 1.0f), rng.uniform(-1.0f, 1.0f)};
+            auto c0 = randomCVec(n * ldc, rng);
+            // Make C Hermitian-ish on the diagonal as BLAS expects.
+            for (std::int64_t i = 0; i < n; ++i)
+                c0[static_cast<std::size_t>(i * ldc + i)] = {
+                    c0[static_cast<std::size_t>(i * ldc + i)].real(), 0.0f};
 
-    cherk(Order::RowMajor, uplo, trans, n, k, 0.8f, a.data(), lda, 0.5f,
-          c.data(), n);
-    cherkOracle(uplo, trans, n, k, 0.8f, a, lda, 0.5f, c_ref, n);
-    for (std::int64_t i = 0; i < n; ++i) {
-        for (std::int64_t j = 0; j < n; ++j) {
-            auto idx = static_cast<std::size_t>(i * n + j);
-            EXPECT_NEAR(std::abs(c[idx] - c_ref[idx]), 0.0f, 1e-4f)
-                << i << "," << j;
+            auto c = sameBitsEverywhere([&] {
+                auto out = c0;
+                cherk(Order::RowMajor, uplo, trans, n, k, 0.8f, a.data(),
+                      lda, 0.5f, out.data(), ldc);
+                return out;
+            });
+            auto c_ref = c0;
+            cherkOracle(uplo, trans, n, k, 0.8f, a, lda, 0.5f, c_ref, ldc);
+            for (std::size_t i = 0; i < c.size(); ++i)
+                ASSERT_NEAR(std::abs(c[i] - c_ref[i]), 0.0f,
+                            1e-5f * static_cast<float>(k + 1))
+                    << "element " << i;
         }
     }
 }
@@ -228,6 +308,66 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(Uplo::Upper, Uplo::Lower),
                        ::testing::Values(Transpose::NoTrans,
                                          Transpose::ConjTrans)));
+
+TEST(Cherk, HerkTileRepeatsTheScalarSequenceAtEveryLevel)
+{
+    // cherk rounds its f64 sums to f32, which hides most reorderings of
+    // the sum, so the tile kernel's f64 outputs are pinned directly. The
+    // planes hold f32 values, so every product is exact and the
+    // reference below means the same under any FP contraction; their
+    // exponents spread over 2^+-24 so that the f64 sums do round.
+    const std::int64_t k = 37, ld = 24;
+    Rng rng(97);
+    auto value = [&] {
+        const int e = static_cast<int>(rng.uniform(-24.0f, 24.0f));
+        return static_cast<double>(std::ldexp(rng.uniform(-1.0f, 1.0f), e));
+    };
+    std::vector<double> re(static_cast<std::size_t>(k * ld));
+    std::vector<double> im(re.size());
+    for (std::size_t i = 0; i < re.size(); ++i) {
+        re[i] = value();
+        im[i] = value();
+    }
+    for (simd::SimdLevel level : simd::availableLevels()) {
+        const simd::Kernels *sk = simd::tableFor(level);
+        if (sk == nullptr)
+            continue;
+        for (bool conjLeft : {true, false}) {
+            for (auto [i0, j0] : {std::pair<std::int64_t, std::int64_t>{0, 0},
+                                  {4, 8}, {20, 16}}) {
+                double outRe[32], outIm[32];
+                sk->herkTile(k, ld, re.data(), im.data(), i0, j0, conjLeft,
+                             outRe, outIm);
+                for (int u = 0; u < 4; ++u) {
+                    for (int v = 0; v < 8; ++v) {
+                        double racc = 0.0, iacc = 0.0;
+                        for (std::int64_t p = 0; p < k; ++p) {
+                            const auto x = static_cast<std::size_t>(
+                                p * ld + i0 + u);
+                            const auto y = static_cast<std::size_t>(
+                                p * ld + j0 + v);
+                            const double xr = re[x], yr = re[y];
+                            const double xi = conjLeft ? -im[x] : im[x];
+                            const double yi = conjLeft ? im[y] : -im[y];
+                            racc += xr * yr - xi * yi;
+                            iacc += xr * yi + xi * yr;
+                        }
+                        EXPECT_EQ(std::memcmp(&outRe[8 * u + v], &racc,
+                                              sizeof racc),
+                                  0)
+                            << simd::name(level) << " u=" << u
+                            << " v=" << v;
+                        EXPECT_EQ(std::memcmp(&outIm[8 * u + v], &iacc,
+                                              sizeof iacc),
+                                  0)
+                            << simd::name(level) << " u=" << u
+                            << " v=" << v;
+                    }
+                }
+            }
+        }
+    }
+}
 
 TEST(Cherk, DiagonalStaysReal)
 {
@@ -252,6 +392,47 @@ TEST(Cherk, RejectsPlainTrans)
                  mealib::FatalError);
 }
 
+TEST(Cherk, RejectsShortLeadingDimension)
+{
+    // NoTrans reads rows of k, ConjTrans rows of n: one short of either
+    // would silently read the next row.
+    std::vector<cfloat> a(64), c(64);
+    EXPECT_THROW(cherk(Order::RowMajor, Uplo::Lower, Transpose::NoTrans, 4,
+                       5, 1.0f, a.data(), 4, 0.0f, c.data(), 4),
+                 mealib::FatalError);
+    EXPECT_THROW(cherk(Order::RowMajor, Uplo::Lower, Transpose::ConjTrans,
+                       4, 5, 1.0f, a.data(), 3, 0.0f, c.data(), 4),
+                 mealib::FatalError);
+    EXPECT_NO_THROW(cherk(Order::RowMajor, Uplo::Lower,
+                          Transpose::ConjTrans, 4, 5, 1.0f, a.data(), 4,
+                          0.0f, c.data(), 4));
+}
+
+TEST(Sgemm, RejectsShortLeadingDimensions)
+{
+    // Row-major op(A) is m x k and op(B) is k x n.
+    std::vector<float> a(64), b(64), c(64);
+    EXPECT_THROW(sgemm(Order::RowMajor, Transpose::NoTrans,
+                       Transpose::NoTrans, 3, 4, 5, 1.0f, a.data(), 4,
+                       b.data(), 4, 0.0f, c.data(), 4),
+                 mealib::FatalError);
+    EXPECT_THROW(sgemm(Order::RowMajor, Transpose::Trans,
+                       Transpose::NoTrans, 3, 4, 5, 1.0f, a.data(), 2,
+                       b.data(), 4, 0.0f, c.data(), 4),
+                 mealib::FatalError);
+    EXPECT_THROW(sgemm(Order::RowMajor, Transpose::NoTrans,
+                       Transpose::NoTrans, 3, 4, 5, 1.0f, a.data(), 5,
+                       b.data(), 3, 0.0f, c.data(), 4),
+                 mealib::FatalError);
+    EXPECT_THROW(sgemm(Order::RowMajor, Transpose::NoTrans,
+                       Transpose::Trans, 3, 4, 5, 1.0f, a.data(), 5,
+                       b.data(), 4, 0.0f, c.data(), 4),
+                 mealib::FatalError);
+    EXPECT_NO_THROW(sgemm(Order::RowMajor, Transpose::Trans,
+                          Transpose::Trans, 3, 4, 5, 1.0f, a.data(), 3,
+                          b.data(), 5, 0.0f, c.data(), 4));
+}
+
 /** Build a well-conditioned triangular matrix. */
 std::vector<cfloat>
 triangular(std::int64_t n, Uplo uplo, Rng &rng)
@@ -273,46 +454,72 @@ triangular(std::int64_t n, Uplo uplo, Rng &rng)
     return a;
 }
 
-class TrsmCombos
-    : public ::testing::TestWithParam<
-          std::tuple<Side, Uplo, Transpose, Diag>>
-{};
+using TrsmCombos =
+    Blas3ParamTest<std::tuple<Side, Uplo, Transpose, Diag>>;
 
 TEST_P(TrsmCombos, SolveThenMultiplyRoundTrips)
 {
+    // Non-square B (m != n, with an odd width that leaves vector tails)
+    // and padded leading dimensions on both operands.
     auto [side, uplo, trans, diag] = GetParam();
-    const std::int64_t m = 9, n = 6;
+    const std::int64_t m = 13, n = 7;
     Rng rng(71);
-    std::int64_t adim = side == Side::Left ? m : n;
-    auto a = triangular(adim, uplo, rng);
+    const std::int64_t adim = side == Side::Left ? m : n;
+    const std::int64_t lda = adim + 2, ldb = n + 3;
+    auto tri = triangular(adim, uplo, rng);
     if (diag == Diag::Unit) {
         // Unit diagonal: stored diagonal is ignored; poison it.
         for (std::int64_t i = 0; i < adim; ++i)
-            a[static_cast<std::size_t>(i * adim + i)] = {77.0f, 77.0f};
+            tri[static_cast<std::size_t>(i * adim + i)] = {77.0f, 77.0f};
     }
-    auto b = randomCVec(m * n, rng);
-    auto b0 = b;
+    std::vector<cfloat> a(static_cast<std::size_t>(adim * lda),
+                          cfloat{1e30f, 1e30f});
+    for (std::int64_t i = 0; i < adim; ++i)
+        for (std::int64_t j = 0; j < adim; ++j)
+            a[static_cast<std::size_t>(i * lda + j)] =
+                tri[static_cast<std::size_t>(i * adim + j)];
+    auto b0 = randomCVec(m * ldb, rng);
     cfloat alpha{1.5f, -0.5f};
 
-    ctrsm(Order::RowMajor, side, uplo, trans, diag, m, n, alpha, a.data(),
-          adim, b.data(), n);
+    auto b = sameBitsEverywhere([&] {
+        auto out = b0;
+        ctrsm(Order::RowMajor, side, uplo, trans, diag, m, n, alpha,
+              a.data(), lda, out.data(), ldb);
+        return out;
+    });
 
     // Multiply back: op(A)*X (Left) or X*op(A) (Right), with the unit
     // diagonal imposed when requested.
-    auto a_eff = a;
+    auto a_eff = tri;
     if (diag == Diag::Unit)
         for (std::int64_t i = 0; i < adim; ++i)
             a_eff[static_cast<std::size_t>(i * adim + i)] = {1.0f, 0.0f};
+    std::vector<cfloat> x(static_cast<std::size_t>(m * n));
+    for (std::int64_t i = 0; i < m; ++i)
+        for (std::int64_t j = 0; j < n; ++j)
+            x[static_cast<std::size_t>(i * n + j)] =
+                b[static_cast<std::size_t>(i * ldb + j)];
     std::vector<cfloat> back(static_cast<std::size_t>(m * n), cfloat{});
     if (side == Side::Left) {
         gemmOracle(trans, Transpose::NoTrans, m, n, m, cfloat{1, 0},
-                   a_eff, adim, b, n, cfloat{0, 0}, back, n);
+                   a_eff, adim, x, n, cfloat{0, 0}, back, n);
     } else {
-        gemmOracle(Transpose::NoTrans, trans, m, n, n, cfloat{1, 0}, b, n,
+        gemmOracle(Transpose::NoTrans, trans, m, n, n, cfloat{1, 0}, x, n,
                    a_eff, adim, cfloat{0, 0}, back, n);
     }
-    for (std::size_t i = 0; i < back.size(); ++i)
-        EXPECT_NEAR(std::abs(back[i] - alpha * b0[i]), 0.0f, 2e-3f);
+    for (std::int64_t i = 0; i < m; ++i) {
+        for (std::int64_t j = 0; j < ldb; ++j) {
+            const auto idx = static_cast<std::size_t>(i * ldb + j);
+            if (j >= n) {
+                EXPECT_EQ(b[idx], b0[idx]) << "padding " << i << "," << j;
+                continue;
+            }
+            EXPECT_NEAR(std::abs(back[static_cast<std::size_t>(i * n + j)] -
+                                 alpha * b0[idx]),
+                        0.0f, 2e-3f)
+                << i << "," << j;
+        }
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -392,6 +599,82 @@ TEST(Ctrsm, ColMajorAgreesWithRowMajor)
                 std::abs(b_rm[static_cast<std::size_t>(i * n + j)] -
                          b_cm[static_cast<std::size_t>(j * m + i)]),
                 0.0f, 1e-4f);
+}
+
+/** Row-major Hermitian positive-definite B^H B + n I, padded to lda. */
+std::vector<cfloat>
+hpdMatrix(std::int64_t n, std::int64_t lda, Rng &rng)
+{
+    auto b = randomCVec(n * n, rng);
+    std::vector<cfloat> a(static_cast<std::size_t>(n * lda),
+                          cfloat{1e30f, 1e30f});
+    for (std::int64_t i = 0; i < n; ++i) {
+        for (std::int64_t j = 0; j < n; ++j) {
+            cfloat acc = i == j ? cfloat{static_cast<float>(n), 0.0f}
+                                : cfloat{};
+            for (std::int64_t p = 0; p < n; ++p)
+                acc += std::conj(b[static_cast<std::size_t>(p * n + i)]) *
+                       b[static_cast<std::size_t>(p * n + j)];
+            a[static_cast<std::size_t>(i * lda + j)] = acc;
+        }
+        a[static_cast<std::size_t>(i * lda + i)] = {
+            a[static_cast<std::size_t>(i * lda + i)].real(), 0.0f};
+    }
+    return a;
+}
+
+TEST_F(Blas3Test, CpotrfFactorsAtEverySizeLevelAndThreadCount)
+{
+    for (std::int64_t n : {1, 2, 7, 8, 9, 42, 48}) {
+        SCOPED_TRACE("n=" + std::to_string(n));
+        Rng rng(static_cast<std::uint64_t>(300 + n));
+        const std::int64_t lda = n + 3;
+        const auto a0 = hpdMatrix(n, lda, rng);
+        auto l = sameBitsEverywhere([&] {
+            auto out = a0;
+            cpotrf(n, out.data(), lda);
+            return out;
+        });
+        for (std::int64_t i = 0; i < n; ++i) {
+            for (std::int64_t j = 0; j < lda; ++j) {
+                const auto idx = static_cast<std::size_t>(i * lda + j);
+                if (j >= n) {
+                    EXPECT_EQ(l[idx], a0[idx]) << "padding";
+                } else if (j > i) {
+                    EXPECT_EQ(l[idx], cfloat{}) << "upper " << i << "," << j;
+                } else {
+                    // (L L^H)[i, j] must rebuild the lower triangle of A.
+                    cfloat acc{};
+                    for (std::int64_t p = 0; p <= j; ++p)
+                        acc += l[static_cast<std::size_t>(i * lda + p)] *
+                               std::conj(
+                                   l[static_cast<std::size_t>(j * lda + p)]);
+                    EXPECT_NEAR(std::abs(acc - a0[idx]), 0.0f,
+                                1e-4f * static_cast<float>(n))
+                        << i << "," << j;
+                }
+            }
+        }
+    }
+}
+
+TEST_F(Blas3Test, CpotrfRejectsNonPositiveDefinite)
+{
+    // A negative pivot, and a zero pivot reached after elimination
+    // ([[1, 1], [1, 1]] is singular), at every level.
+    for (simd::SimdLevel level : simd::availableLevels()) {
+        kernelTuning().simd = level;
+        std::vector<cfloat> neg = {{-1.0f, 0.0f}, {}, {}, {1.0f, 0.0f}};
+        EXPECT_THROW(cpotrf(2, neg.data(), 2), mealib::FatalError)
+            << simd::name(level);
+        std::vector<cfloat> sing(9, cfloat{1.0f, 0.0f});
+        EXPECT_THROW(cpotrf(3, sing.data(), 3), mealib::FatalError)
+            << simd::name(level);
+    }
+    std::vector<cfloat> a(4, cfloat{1.0f, 0.0f});
+    EXPECT_THROW(cpotrf(2, a.data(), 1), mealib::FatalError);
+    EXPECT_THROW(cpotrf(-1, a.data(), 1), mealib::FatalError);
+    EXPECT_NO_THROW(cpotrf(0, a.data(), 0));
 }
 
 } // namespace

@@ -870,6 +870,48 @@ TEST_F(KernelParityTest, VectorIsaLevelsBitIdenticalAcrossThreads)
     }
 }
 
+TEST_F(KernelParityTest, ComplexMapTailsBitIdenticalAcrossVectorLevels)
+{
+    // Tails of the complex maps (lengths off a whole vector, and the
+    // short FFT stages) must repeat the vector lanes' operations: a
+    // scalar tail can be SLP-vectorized into fused multiply-adds at one
+    // level and not at another.
+    std::vector<const simd::Kernels *> tables;
+    for (simd::SimdLevel level : simd::availableLevels())
+        if (simd::tableFor(level) != nullptr)
+            tables.push_back(simd::tableFor(level));
+    if (tables.size() < 2)
+        GTEST_SKIP() << "fewer than two vector backends on this machine";
+
+    for (std::int64_t n = 1; n <= 15; ++n) {
+        auto x = randomVec(2 * n, 140 + n);
+        auto y = randomVec(2 * n, 160 + n);
+        auto run = [&](const simd::Kernels *sk) {
+            std::vector<float> out = y;
+            sk->caxpy(n, 0.37f, -1.21f, x.data(), out.data());
+            const float f[4] = {-0.83f, 0.59f, 0.27f, -1.4f};
+            const float *xs[2] = {x.data(), y.data()};
+            sk->csubMul(n, 2, f, xs, out.data());
+            sk->cscal(n, 1.13f, 0.41f, out.data());
+            std::vector<float> ya(2 * static_cast<std::size_t>(n));
+            std::vector<float> yb(ya.size());
+            sk->fftButterfly(n, x.data(), out.data(), ya.data(), yb.data(),
+                             0.61f, -0.79f);
+            out.insert(out.end(), ya.begin(), ya.end());
+            out.insert(out.end(), yb.begin(), yb.end());
+            return out;
+        };
+        const std::vector<float> ref = run(tables[0]);
+        for (std::size_t t = 1; t < tables.size(); ++t) {
+            const std::vector<float> got = run(tables[t]);
+            EXPECT_EQ(std::memcmp(got.data(), ref.data(),
+                                  ref.size() * sizeof(float)),
+                      0)
+                << "table " << t << " n=" << n;
+        }
+    }
+}
+
 TEST_F(KernelParityTest, SimdLevelResolutionClampsToDetected)
 {
     // Requests above what the machine (or build) supports clamp down,
