@@ -9,20 +9,6 @@ namespace {
 
 thread_local bool tlInTask = false;
 
-std::int64_t
-envInt64(const char *name, std::int64_t fallback, std::int64_t lo,
-         std::int64_t hi)
-{
-    const char *v = std::getenv(name);
-    if (v == nullptr || *v == '\0')
-        return fallback;
-    char *end = nullptr;
-    long long parsed = std::strtoll(v, &end, 10);
-    if (end == v)
-        return fallback;
-    return std::clamp<std::int64_t>(parsed, lo, hi);
-}
-
 } // namespace
 
 KernelTuning
@@ -30,18 +16,16 @@ KernelTuning::fromEnv()
 {
     KernelTuning t;
     unsigned hw = std::thread::hardware_concurrency();
-    if (hw == 0)
-        hw = 1;
-    t.numThreads = static_cast<int>(
-        envInt64("MEALIB_NUM_THREADS", static_cast<std::int64_t>(hw), 1,
-                 ThreadPool::kMaxWorkers + 1));
-    t.parallelCutoff =
-        envInt64("MEALIB_PARALLEL_CUTOFF", t.parallelCutoff, 1,
-                 std::int64_t{1} << 40);
-    t.reduceChunk = envInt64("MEALIB_REDUCE_CHUNK", t.reduceChunk, 1,
-                             std::int64_t{1} << 30);
-    t.tile = envInt64("MEALIB_TILE", t.tile, 4, 4096);
-    t.gemmBlock = envInt64("MEALIB_GEMM_BLOCK", t.gemmBlock, 4, 4096);
+    std::int64_t threads = hw == 0 ? 1 : hw;
+    if (const char *v = std::getenv("MEALIB_NUM_THREADS");
+        v != nullptr && *v) {
+        char *end = nullptr;
+        const long long parsed = std::strtoll(v, &end, 10);
+        if (end != v)
+            threads = std::clamp<std::int64_t>(parsed, 1,
+                                               ThreadPool::kMaxWorkers + 1);
+    }
+    t.numThreads = static_cast<int>(threads);
     if (const char *s = std::getenv("MEALIB_SIMD"); s != nullptr && *s) {
         simd::SimdLevel level;
         if (simd::parseLevel(s, &level))

@@ -17,15 +17,15 @@
  *    maps are trivially deterministic.
  *
  *  - deterministicReduce: reductions (sdot, snrm2, sasum, ...) are
- *    partitioned into fixed-size chunks (KernelTuning::reduceChunk)
- *    whose count depends only on n, and the per-chunk partials are
+ *    partitioned into fixed-size chunks whose count depends only on n
+ *    and the chunk size, and the per-chunk partials are
  *    combined by a fixed-order pairwise tree. The result is therefore
  *    bit-identical regardless of thread count — including a thread count
  *    of one — and across repeated runs.
  *
  * KernelTuning carries the tuning knobs (thread count, parallel cutoff,
- * tile sizes); defaults come from the environment once at first use and
- * can be overridden programmatically (the parity tests sweep them).
+ * SIMD level); defaults come from the environment once at first use
+ * and can be overridden programmatically (the parity tests sweep them).
  */
 
 #ifndef MEALIB_COMMON_PARALLEL_HH
@@ -43,23 +43,17 @@
 namespace mealib {
 
 /**
- * Tuning knobs for the parallel cache-blocked kernels. Defaults are
+ * Tuning knobs for the parallel cache-blocked kernels. Two defaults are
  * read from the environment on first use:
  *
  *   MEALIB_NUM_THREADS     worker threads used to partition loops
- *   MEALIB_PARALLEL_CUTOFF minimum elements of work before fanning out
- *   MEALIB_REDUCE_CHUNK    fixed chunk size for deterministic reductions
- *   MEALIB_TILE            transpose tile edge (elements)
- *   MEALIB_GEMM_BLOCK      level-3 blocking factor
  *   MEALIB_SIMD            scalar|sse4|avx2|avx512|auto kernel backend
  */
 struct KernelTuning
 {
     int numThreads = 1;
+    /** Minimum elements of work before a kernel fans out. */
     std::int64_t parallelCutoff = 1 << 15;
-    std::int64_t reduceChunk = 1 << 14;
-    std::int64_t tile = 32;
-    std::int64_t gemmBlock = 64;
     simd::SimdLevel simd = simd::SimdLevel::Auto;
 
     /** Build a tuning with defaults taken from the environment. */

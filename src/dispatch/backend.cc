@@ -1,25 +1,11 @@
 #include "dispatch/backend.hh"
 
-#include <cstdlib>
 #include <string>
 
 #include "accel/descriptor.hh"
 #include "runtime/event.hh"
 
 namespace mealib::dispatch {
-
-unsigned
-fusionWindowFromEnv()
-{
-    const char *v = std::getenv("MEALIB_FUSION_WINDOW");
-    if (v == nullptr || *v == '\0')
-        return 1;
-    char *end = nullptr;
-    const long n = std::strtol(v, &end, 10);
-    if (end == v || *end != '\0' || n < 1)
-        return 1;
-    return static_cast<unsigned>(n);
-}
 
 Status
 RuntimeBackend::mapCall(const OpDesc &desc, accel::OpCall *out) const
@@ -98,27 +84,11 @@ RuntimeBackend::execute(const OpDesc &desc)
     if (Status st = mapCall(desc, &call); !st.ok())
         return st;
 
-    if (window_ <= 1) {
-        // Unfused: one program per call, exactly the legacy path.
-        accel::DescriptorProgram prog;
-        if (desc.loop.iterations() > 1)
-            prog.addLoop(desc.loop, 2);
-        prog.addComp(call);
-        prog.addPassEnd();
-
-        runtime::AccPlanHandle plan = rt_.accPlan(prog);
-        runtime::Event ev = rt_.accSubmit(plan);
-        ev.wait();
-        Status st = completed(ev.state()) ? Status() : ev.status();
-        rt_.accDestroy(plan);
-        return st;
-    }
-
-    // Fused: buffer the call; flush when the home stack changes or the
-    // window fills. A buffered call reports success optimistically —
-    // its functional result is guaranteed (computed eagerly at flush),
-    // only the modeled fault outcome is folded into the flush that
-    // carries it.
+    // Buffer the call; flush when the home stack changes or the window
+    // fills, so a window of 1 submits every call as its own program. A
+    // buffered call reports success optimistically — its functional
+    // result is guaranteed (computed eagerly at flush), only the
+    // modeled fault outcome is folded into the flush that carries it.
     const unsigned home = rt_.stackOf(call.out.base);
     std::lock_guard<std::mutex> lock(wmu_);
     if (!pending_.empty() && home != home_) {

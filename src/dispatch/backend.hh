@@ -32,10 +32,6 @@
 
 namespace mealib::dispatch {
 
-/** MEALIB_FUSION_WINDOW environment default (unset/bad = 1, i.e. the
- * exact legacy one-program-per-call behaviour). */
-unsigned fusionWindowFromEnv();
-
 /** Dispatcher backend executing descriptors on a MealibRuntime. */
 class RuntimeBackend final : public AccelBackend
 {
@@ -43,10 +39,10 @@ class RuntimeBackend final : public AccelBackend
     /** @p rt must outlive the backend (and be functional for the
      * results to be real; a cost-only runtime models time/energy but
      * leaves the output buffers untouched). @p fusionWindow is the
-     * maximum COMPs batched into one descriptor program; 1 disables
-     * fusion (bit-for-bit legacy submission). */
+     * maximum COMPs batched into one descriptor program; 1 (and 0)
+     * disables fusion: every call is its own program. */
     explicit RuntimeBackend(runtime::MealibRuntime &rt,
-                            unsigned fusionWindow = fusionWindowFromEnv())
+                            unsigned fusionWindow = 1)
         : rt_(rt), window_(fusionWindow < 1 ? 1 : fusionWindow)
     {
     }

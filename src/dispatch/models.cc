@@ -1,78 +1,11 @@
 #include "dispatch/models.hh"
 
 #include <algorithm>
-#include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
-#include <vector>
 
 #include "accel/config.hh"
-#include "accel/model.hh"
-#include "common/logging.hh"
 
 namespace mealib::dispatch {
-
-namespace {
-
-/**
- * Streaming-triad microprobe: measured sustained bandwidth of the
- * machine this process actually runs on, best of three timed passes
- * over an L3-exceeding working set (one warm-up pass discarded).
- */
-double
-probeStreamBandwidthGBs()
-{
-    const std::size_t n = std::size_t{1} << 21; // 8 MiB per array
-    std::vector<float> a(n, 1.0f), b(n, 2.0f), c(n, 3.0f);
-    double best = std::numeric_limits<double>::infinity();
-    for (int rep = 0; rep < 4; ++rep) {
-        const auto t0 = std::chrono::steady_clock::now();
-        for (std::size_t i = 0; i < n; ++i)
-            a[i] = b[i] + 0.5f * c[i];
-        const auto t1 = std::chrono::steady_clock::now();
-        // The first pass warms the pages and the caches.
-        if (rep > 0)
-            best = std::min(
-                best, std::chrono::duration<double>(t1 - t0).count());
-        volatile float sink = a[n / 2];
-        (void)sink;
-    }
-    if (!(best > 0.0))
-        return 0.0;
-    const double bytes =
-        3.0 * static_cast<double>(n) * sizeof(float); // 2 reads + 1 write
-    return bytes / best * 1e-9;
-}
-
-/**
- * measured/modeled host-bandwidth ratio for @p machine, probed once per
- * (process, profile) when MEALIB_HOST_CALIBRATE is set; 1.0 otherwise.
- */
-double
-hostThroughputScale(const hwmodel::MachineProfile &machine)
-{
-    const char *env = std::getenv("MEALIB_HOST_CALIBRATE");
-    if (env == nullptr || *env == '\0' || std::strcmp(env, "0") == 0)
-        return 1.0;
-    static std::mutex mu;
-    static std::map<const hwmodel::MachineProfile *, double> cache;
-    std::lock_guard<std::mutex> lock(mu);
-    auto it = cache.find(&machine);
-    if (it != cache.end())
-        return it->second;
-    const double measured = probeStreamBandwidthGBs();
-    const double modeled = machine.cpu.memBandwidth * 1e-9;
-    double scale = modeled > 0.0 && measured > 0.0 ? measured / modeled
-                                                   : 1.0;
-    // A wildly off probe (noisy neighbour, throttled core) must not
-    // invert dispatch decisions by orders of magnitude.
-    scale = std::clamp(scale, 0.05, 20.0);
-    cache.emplace(&machine, scale);
-    return scale;
-}
-
-} // namespace
 
 const hwmodel::MachineProfile &
 machineFor(HostKind host)
@@ -133,31 +66,25 @@ RooflineCostModel::RooflineCostModel()
 
 RooflineCostModel::RooflineCostModel(
     const hwmodel::MachineProfile &machine)
-    : machine_(machine), cpu_(machine.cpu),
-      hostScale_(hostThroughputScale(machine))
+    : machine_(machine), cpu_(machine.cpu)
 {
 }
 
-RooflineCostModel::Key
-RooflineCostModel::keyOf(const OpDesc &desc, unsigned window)
+const accel::AccelModel &
+RooflineCostModel::accelModel(accel::AccelKind kind) const
 {
-    return {static_cast<std::uint8_t>(desc.kind), desc.call.n,
-            desc.call.m, desc.call.k, desc.call.complexData,
-            desc.loop.iterations(), window};
+    std::lock_guard<std::mutex> lock(mu_);
+    auto &slot = accel_[static_cast<std::size_t>(kind)];
+    if (!slot)
+        slot = std::make_unique<accel::AccelModel>(
+            kind, accel::defaultConfig(kind), machine_.stackDram,
+            machine_.mesh);
+    return *slot;
 }
 
 double
 RooflineCostModel::hostSeconds(const OpDesc &desc) const
 {
-    // The fusion window only affects accelerator-side amortization.
-    Key key = keyOf(desc, 1);
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = hostCache_.find(key);
-        if (it != hostCache_.end())
-            return it->second;
-    }
-
     host::KernelProfile p;
     if (accelerable(desc.kind)) {
         p = hostKernelProfile(machine_, desc.call, desc.loop);
@@ -176,19 +103,13 @@ RooflineCostModel::hostSeconds(const OpDesc &desc) const
         p.parallelFraction = 0.95;
         p.callOverheads = machine_.callOverheadSeconds;
     }
-    double s = cpu_.run(p).seconds / hostScale_;
-
-    std::lock_guard<std::mutex> lock(mu_);
-    hostCache_.emplace(key, s);
-    return s;
+    return cpu_.run(p).seconds;
 }
 
 void
 RooflineCostModel::setFusionWindow(unsigned window)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    // No cache clear: accel estimates are keyed by the window they were
-    // priced under, so toggling back reuses the earlier entries.
     fusionWindow_ = window < 1 ? 1 : window;
 }
 
@@ -205,20 +126,9 @@ RooflineCostModel::accelSeconds(const OpDesc &desc) const
     if (!desc.accelSupported || !accelerable(desc.kind))
         return std::numeric_limits<double>::infinity();
 
-    unsigned window = 1;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        window = fusionWindow_;
-        auto it = accelCache_.find(keyOf(desc, window));
-        if (it != accelCache_.end())
-            return it->second;
-    }
-    Key key = keyOf(desc, window);
-
-    accel::AccelKind kind = accelKindOf(desc.kind);
-    accel::AccelModel model(kind, accel::defaultConfig(kind),
-                            machine_.stackDram, machine_.mesh);
-    accel::AccelEstimate e = model.estimate(desc.call, desc.loop);
+    const unsigned window = fusionWindow();
+    accel::AccelEstimate e =
+        accelModel(accelKindOf(desc.kind)).estimate(desc.call, desc.loop);
     // Invocation overhead: the host must flush the input footprint out
     // of its caches before the memory-side units read DRAM directly,
     // then copy the descriptor and ring the START doorbell.
@@ -233,12 +143,8 @@ RooflineCostModel::accelSeconds(const OpDesc &desc) const
     // With a fusion window the backend packs up to `window` adjacent
     // calls into one descriptor program: one flush + handshake per
     // window instead of per call.
-    double s = e.total.seconds +
-               (flush + kHandshakeSeconds) / static_cast<double>(window);
-
-    std::lock_guard<std::mutex> lock(mu_);
-    accelCache_.emplace(key, s);
-    return s;
+    return e.total.seconds +
+           (flush + kHandshakeSeconds) / static_cast<double>(window);
 }
 
 } // namespace mealib::dispatch

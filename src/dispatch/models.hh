@@ -15,10 +15,11 @@
 #ifndef MEALIB_DISPATCH_MODELS_HH
 #define MEALIB_DISPATCH_MODELS_HH
 
-#include <map>
+#include <array>
+#include <memory>
 #include <mutex>
-#include <tuple>
 
+#include "accel/model.hh"
 #include "dispatch/policy.hh"
 #include "host/cpu.hh"
 #include "hwmodel/profile.hh"
@@ -57,10 +58,11 @@ host::KernelProfile hostKernelProfile(const hwmodel::MachineProfile &m,
 /**
  * The dispatcher's default cost oracle: Haswell roofline for the host
  * side, the MEALib accelerator model (HMC stack, Table-3 MEALib column)
- * plus invocation overhead for the accelerator side. Estimates are
- * memoized per call shape — policies price the same kernel in a loop
- * thousands of times (CG) and the accelerator model simulates a DRAM
- * trace per estimate.
+ * plus invocation overhead for the accelerator side. Policies price the
+ * same kernel in a loop thousands of times (CG), so the model keeps one
+ * AccelModel per accelerator kind: each remembers the DRAM replay of
+ * the call shapes it has priced, keyed on everything the trace reads.
+ * Safe to call from several threads.
  */
 class RooflineCostModel final : public CostModel
 {
@@ -79,26 +81,13 @@ class RooflineCostModel final : public CostModel
      * Amortize the per-invocation overhead (flush + handshake) over a
      * fusion window of @p window calls: with the runtime backend fusing
      * adjacent same-stack calls into one descriptor program, only one
-     * invocation is paid per window. The accel memo is keyed by the
-     * window, so estimates cached under other windows survive a toggle
-     * and are reused when that window returns. @p window < 1 is treated
-     * as 1 (no fusion — the exact legacy pricing).
+     * invocation is paid per window. @p window < 1 is treated as 1 (no
+     * fusion — the exact legacy pricing).
      */
     void setFusionWindow(unsigned window);
     unsigned fusionWindow() const;
 
     const hwmodel::MachineProfile &machine() const { return machine_; }
-
-    /**
-     * Host throughput recalibration factor applied to hostSeconds().
-     * 1.0 unless MEALIB_HOST_CALIBRATE is set, in which case a startup
-     * streaming microprobe measures the actual machine's bandwidth and
-     * scales the modeled host times by measured/modeled (cached per
-     * machine profile, so the probe runs once per process). Off by
-     * default: the modeled host baseline is part of the pinned pricing
-     * (the drift-pin tests assert registry parity).
-     */
-    double hostCalibrationScale() const { return hostScale_; }
 
     /** Fixed per-invocation accelerator overhead (descriptor copy +
      * START handshake), excluding the size-dependent cache flush. */
@@ -106,19 +95,18 @@ class RooflineCostModel final : public CostModel
         hwmodel::kHandshakeSeconds;
 
   private:
-    /** (kind, n, m, k, complex, iterations, fusionWindow). The machine
-     * is per-instance, so it needs no key slot. */
-    using Key = std::tuple<std::uint8_t, std::uint64_t, std::uint64_t,
-                           std::uint64_t, bool, std::uint64_t, unsigned>;
-    static Key keyOf(const OpDesc &desc, unsigned window);
+    /** The model of @p kind's accelerator, built on first use. */
+    const accel::AccelModel &accelModel(accel::AccelKind kind) const;
 
     const hwmodel::MachineProfile &machine_;
     host::CpuModel cpu_;
-    double hostScale_ = 1.0;
-    unsigned fusionWindow_ = 1;
+    /** Guards fusionWindow_ and the accelerator slots; each AccelModel
+     * locks its own estimate. */
     mutable std::mutex mu_;
-    mutable std::map<Key, double> hostCache_;
-    mutable std::map<Key, double> accelCache_;
+    unsigned fusionWindow_ = 1;
+    mutable std::array<std::unique_ptr<accel::AccelModel>,
+                       static_cast<std::size_t>(accel::AccelKind::kCount)>
+        accel_;
 };
 
 } // namespace mealib::dispatch

@@ -11,6 +11,11 @@ namespace mealib::mkl {
 
 namespace {
 
+/** Elements per chunk of the deterministic reductions. The chunk
+ * boundaries fix the summation order, so changing it changes result
+ * bits (docs/KERNELS.md). */
+constexpr std::int64_t kReduceChunk = 1 << 14;
+
 /** BLAS convention: with negative stride the vector starts at the end. */
 inline std::int64_t
 startIndex(std::int64_t n, std::int64_t inc)
@@ -187,7 +192,7 @@ sdot(std::int64_t n, const float *x, std::int64_t incx, const float *y,
         const KernelTuning &t = kernelTuning();
         const simd::Kernels *sk = simd::active();
         double acc = deterministicReduce<double>(
-            n, t.reduceChunk, t.threadsFor(n),
+            n, kReduceChunk, t.threadsFor(n),
             [&](std::int64_t b, std::int64_t e) {
                 if (sk)
                     return sk->sdot(e - b, x + b, y + b);
@@ -242,7 +247,7 @@ snrm2(std::int64_t n, const float *x, std::int64_t incx)
             return chunkSsq(b, e);
         };
         Slassq s = deterministicReduce<Slassq>(
-            n, t.reduceChunk, t.threadsFor(n), chunkFn, slassqCombine);
+            n, kReduceChunk, t.threadsFor(n), chunkFn, slassqCombine);
         return static_cast<float>(s.scale * std::sqrt(s.ssq));
     }
     Slassq s;
@@ -271,7 +276,7 @@ sasum(std::int64_t n, const float *x, std::int64_t incx)
         const KernelTuning &t = kernelTuning();
         const simd::Kernels *sk = simd::active();
         double acc = deterministicReduce<double>(
-            n, t.reduceChunk, t.threadsFor(n),
+            n, kReduceChunk, t.threadsFor(n),
             [&](std::int64_t b, std::int64_t e) {
                 if (sk)
                     return sk->sasum(e - b, x + b);
@@ -324,7 +329,7 @@ isamax(std::int64_t n, const float *x, std::int64_t incx)
     // sequential "first strictly greater wins" semantics exactly.
     const KernelTuning &t = kernelTuning();
     Best best = deterministicReduce<Best>(
-        n, t.reduceChunk, incx == 1 ? t.threadsFor(n) : 1, chunkBest,
+        n, kReduceChunk, incx == 1 ? t.threadsFor(n) : 1, chunkBest,
         [](const Best &a, const Best &b) { return b.v > a.v ? b : a; });
     return best.i;
 }
@@ -387,7 +392,7 @@ cdotc(std::int64_t n, const cfloat *x, std::int64_t incx, const cfloat *y,
     const simd::Kernels *sk =
         incx == 1 && incy == 1 ? simd::active() : nullptr;
     const KernelTuning &t = kernelTuning();
-    if (sk != nullptr && n <= t.reduceChunk) {
+    if (sk != nullptr && n <= kReduceChunk) {
         // One reduction chunk: deterministicReduce would run exactly
         // this call, so skip it (STAP issues ~1M of these per pass).
         CAcc s;
@@ -413,7 +418,7 @@ cdotc(std::int64_t n, const cfloat *x, std::int64_t incx, const cfloat *y,
         return s;
     };
     int threads = incx == 1 && incy == 1 ? t.threadsFor(2 * n) : 1;
-    CAcc s = deterministicReduce<CAcc>(n, t.reduceChunk, threads, chunk,
+    CAcc s = deterministicReduce<CAcc>(n, kReduceChunk, threads, chunk,
                                        caccAdd);
     return {static_cast<float>(s.re), static_cast<float>(s.im)};
 }
@@ -448,7 +453,7 @@ cdotu(std::int64_t n, const cfloat *x, std::int64_t incx, const cfloat *y,
     };
     const KernelTuning &t = kernelTuning();
     int threads = incx == 1 && incy == 1 ? t.threadsFor(2 * n) : 1;
-    CAcc s = deterministicReduce<CAcc>(n, t.reduceChunk, threads, chunk,
+    CAcc s = deterministicReduce<CAcc>(n, kReduceChunk, threads, chunk,
                                        caccAdd);
     return {static_cast<float>(s.re), static_cast<float>(s.im)};
 }

@@ -14,6 +14,9 @@ namespace mealib::mkl {
 
 namespace {
 
+/** Square blocking factor of the gemm loop nest (elements). */
+constexpr std::int64_t kGemmBlock = 64;
+
 inline float
 conjOf(float v)
 {
@@ -167,20 +170,19 @@ gemmRowMajor(Transpose transa, Transpose transb, std::int64_t m,
     // op(B) is untransposed. Row bands own disjoint C rows, so the
     // outer band loop fans out across the pool; within a row the
     // kk-ascending update order is unchanged by the partition.
-    const std::int64_t BS = tun.gemmBlock;
     const std::int64_t mult = tun.threadsFor(2 * m * n * k);
     // When op(B) is untransposed its rows are contiguous, so the j map
     // runs through the SIMD axpy kernel (bit-identical to the scalar
     // elementwise update at every level).
     const simd::Kernels *sk = simd::active();
     const bool vecB = sk != nullptr && !B.transposed();
-    parallelFor(0, m, mult, BS, [&](std::int64_t mb, std::int64_t me) {
-        for (std::int64_t ii = mb; ii < me; ii += BS) {
-            std::int64_t ie = std::min(ii + BS, me);
-            for (std::int64_t kk = 0; kk < k; kk += BS) {
-                std::int64_t ke = std::min(kk + BS, k);
-                for (std::int64_t jj = 0; jj < n; jj += BS) {
-                    std::int64_t je = std::min(jj + BS, n);
+    parallelFor(0, m, mult, kGemmBlock, [&](std::int64_t mb, std::int64_t me) {
+        for (std::int64_t ii = mb; ii < me; ii += kGemmBlock) {
+            std::int64_t ie = std::min(ii + kGemmBlock, me);
+            for (std::int64_t kk = 0; kk < k; kk += kGemmBlock) {
+                std::int64_t ke = std::min(kk + kGemmBlock, k);
+                for (std::int64_t jj = 0; jj < n; jj += kGemmBlock) {
+                    std::int64_t je = std::min(jj + kGemmBlock, n);
                     for (std::int64_t i = ii; i < ie; ++i) {
                         T *crow = c + i * ldc;
                         for (std::int64_t p = kk; p < ke; ++p) {

@@ -12,6 +12,9 @@ namespace mealib::mkl {
 
 namespace {
 
+/** Edge of the square tiles of the blocked transposes (elements). */
+constexpr std::int64_t kTile = 32;
+
 inline float
 conjOf(float v)
 {
@@ -76,18 +79,17 @@ omatcopyRowMajor(Transpose trans, std::int64_t rows, std::int64_t cols,
     }
 
     // Blocked transpose: both the read and the write stay within one
-    // BS x BS tile, so each side touches at most BS distinct rows. The
-    // float tiles run through the 8x8 in-register transpose kernel
-    // (bit-identical to the elementwise loop).
-    const std::int64_t BS = tun.tile;
-    const std::int64_t rowTiles = (rows + BS - 1) / BS;
+    // kTile x kTile tile, so each side touches at most kTile distinct
+    // rows. The float tiles run through the 8x8 in-register transpose
+    // kernel (bit-identical to the elementwise loop).
+    const std::int64_t rowTiles = (rows + kTile - 1) / kTile;
     parallelFor(0, rowTiles, threads, 1,
                 [&](std::int64_t tb, std::int64_t te) {
                     for (std::int64_t rt = tb; rt < te; ++rt) {
-                        std::int64_t ii = rt * BS;
-                        std::int64_t ie = std::min(ii + BS, rows);
-                        for (std::int64_t jj = 0; jj < cols; jj += BS) {
-                            std::int64_t je = std::min(jj + BS, cols);
+                        std::int64_t ii = rt * kTile;
+                        std::int64_t ie = std::min(ii + kTile, rows);
+                        for (std::int64_t jj = 0; jj < cols; jj += kTile) {
+                            std::int64_t je = std::min(jj + kTile, cols);
                             if constexpr (std::is_same_v<T, float>) {
                                 if (!cj && sk) {
                                     sk->somatTile(ie - ii, je - jj, alpha,
@@ -156,16 +158,15 @@ imatcopyDispatch(Order order, Transpose trans, std::int64_t rows,
         return;
     }
 
-    const std::int64_t BS = tun.tile;
     if (srows == scols && lda == ldb) {
         // Square in-place transpose by swapping across the diagonal,
         // tile pair by tile pair. Band rt swaps tiles (rt, jj >= rt)
         // with their mirrors, so two bands never touch the same tile
         // pair: band rt writes row-band rt plus the mirrored column-band
         // rt, and those mirrors live in rows jj > rt of columns
-        // [rt*BS, ...) that no other band's swap reaches.
+        // [rt*kTile, ...) that no other band's swap reaches.
         std::int64_t n = srows;
-        const std::int64_t tiles = (n + BS - 1) / BS;
+        const std::int64_t tiles = (n + kTile - 1) / kTile;
         const simd::Kernels *sk = simd::active();
         parallelFor(0, tiles, threads, 1,
                     [&](std::int64_t tb, std::int64_t te) {
@@ -174,10 +175,10 @@ imatcopyDispatch(Order order, Transpose trans, std::int64_t rows,
                         // transposing kernel before either is written).
                         std::vector<T> t1, t2;
                         for (std::int64_t rt = tb; rt < te; ++rt) {
-                            std::int64_t ii = rt * BS;
-                            std::int64_t ie = std::min(ii + BS, n);
-                            for (std::int64_t jj = ii; jj < n; jj += BS) {
-                                std::int64_t je = std::min(jj + BS, n);
+                            std::int64_t ii = rt * kTile;
+                            std::int64_t ie = std::min(ii + kTile, n);
+                            for (std::int64_t jj = ii; jj < n; jj += kTile) {
+                                std::int64_t je = std::min(jj + kTile, n);
                                 if constexpr (std::is_same_v<T, float>) {
                                     if (!cj && sk && jj > ii) {
                                         const std::int64_t h = ie - ii;

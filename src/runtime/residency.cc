@@ -1,8 +1,6 @@
 #include "runtime/residency.hh"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 
 namespace mealib::runtime {
 
@@ -155,16 +153,6 @@ ResidencyTracker::verifyCleanBytes(
     for (const AccessInterval &iv : intervals)
         clean += verifyClean_.coveredBytes(iv.lo, iv.hi);
     return clean;
-}
-
-bool
-residencyFromEnv()
-{
-    const char *v = std::getenv("MEALIB_RESIDENCY");
-    if (v == nullptr || *v == '\0')
-        return false;
-    return std::strcmp(v, "0") != 0 && std::strcmp(v, "off") != 0 &&
-           std::strcmp(v, "false") != 0;
 }
 
 } // namespace mealib::runtime

@@ -47,8 +47,7 @@ namespace mealib::runtime {
 /** Opt-in switch for the residency layer (off = bit-for-bit legacy). */
 struct ResidencyConfig
 {
-    /** Track operand residency and elide redundant flush/verify work.
-     * Defaults to the MEALIB_RESIDENCY environment variable. */
+    /** Track operand residency and elide redundant flush/verify work. */
     bool enabled = false;
 };
 
@@ -132,9 +131,6 @@ class ResidencyTracker
     IntervalSet flushClean_;
     IntervalSet verifyClean_;
 };
-
-/** MEALIB_RESIDENCY environment default (unset/"0"/"off" = false). */
-bool residencyFromEnv();
 
 } // namespace mealib::runtime
 

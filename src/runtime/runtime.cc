@@ -27,7 +27,6 @@ RuntimeConfig::RuntimeConfig(const hwmodel::MachineProfile &m)
             : 0.0;
     integrity.checksumJPerByte = m.checksumJPerByte;
     checkpoint.journalJPerByte = m.journalJPerByte;
-    residency.enabled = residencyFromEnv();
 }
 
 Status

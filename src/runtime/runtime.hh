@@ -131,8 +131,7 @@ struct RuntimeConfig
     /** Cross-command operand residency tracking (docs/RUNTIME.md): when
      * enabled, flushes shrink to host-dirtied intervals and integrity
      * verification skips intervals whose cached checksum is still
-     * valid. Off by default (bit-for-bit identical ledger); the
-     * constructor seeds it from MEALIB_RESIDENCY. */
+     * valid. Off by default (bit-for-bit identical ledger). */
     ResidencyConfig residency;
 
     /** Defaults from the process-wide active machine profile. */

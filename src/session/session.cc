@@ -50,15 +50,13 @@ Session::init(const SessionOptions &opts)
                       ? dispatch::policyFromEnv()
                       : dispatch::makePolicy(opts.policy);
     dispatcher_.setPolicy(std::move(policy)); // null resets to HostOnly
-    dispatcher_.setCostModel(
-        std::make_shared<dispatch::RooflineCostModel>(machine_));
+    auto costs = std::make_shared<dispatch::RooflineCostModel>(machine_);
+    costs->setFusionWindow(opts.fusionWindow);
+    dispatcher_.setCostModel(std::move(costs));
     dispatcher_.attachLedger(&ledger_);
     if (opts.attachBackend) {
-        const unsigned window =
-            opts.fusionWindow > 0 ? opts.fusionWindow
-                                  : dispatch::fusionWindowFromEnv();
-        backend_ =
-            std::make_unique<dispatch::RuntimeBackend>(rt_, window);
+        backend_ = std::make_unique<dispatch::RuntimeBackend>(
+            rt_, opts.fusionWindow);
         dispatcher_.attachBackend(backend_.get());
     }
 }

@@ -47,8 +47,9 @@ struct SessionOptions
     std::string policy;
 
     /** COMPs batched into one fused descriptor program by this
-     * session's backend; 0 resolves MEALIB_FUSION_WINDOW. */
-    unsigned fusionWindow = 0;
+     * session's backend, and the window its cost model amortizes the
+     * invocation overhead over; values below 1 mean 1 (no fusion). */
+    unsigned fusionWindow = 1;
 
     /** Attach the session's RuntimeBackend to its dispatcher so accel
      * decisions execute on the shared runtime. Off leaves the

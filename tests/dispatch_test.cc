@@ -3,8 +3,8 @@
 // runtime-backed accelerator backend, and the bit-for-bit guarantee of
 // host-side execution through the dispatcher.
 
-#include <cstdlib>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,6 +23,7 @@
 #include "minimkl/blas2.hh"
 #include "minimkl/blas3.hh"
 #include "minimkl/compat.hh"
+#include "minimkl/resample.hh"
 #include "minimkl/transpose.hh"
 #include "runtime/runtime.hh"
 
@@ -182,9 +183,8 @@ TEST(Policy, CalibratedSticksAfterWindow)
 
 TEST(CostModel, FusionWindowMemoSurvivesToggle)
 {
-    // The accel memo is keyed by (shape, window): re-pricing under a
-    // window seen before must return the cached value bitwise, and a
-    // toggle away and back must not re-derive (or drift) the estimate.
+    // Re-pricing under a window seen before must return the earlier
+    // value bitwise: a toggle away and back must not drift the estimate.
     RooflineCostModel costs;
     eval::Workload w = eval::table2Workload(accel::AccelKind::AXPY);
     OpDesc d = opDescFromCall(w.call, w.loop);
@@ -208,33 +208,87 @@ TEST(CostModel, FusionWindowMemoSurvivesToggle)
     EXPECT_EQ(std::memcmp(&h4, &h1, sizeof h1), 0);
 }
 
-TEST(CostModel, HostCalibrationOffByDefault)
+TEST(CostModel, EarlierCallsNeverChangeAPrice)
 {
-    // Without MEALIB_HOST_CALIBRATE the modeled host baseline is the
-    // pinned pricing: scale exactly 1.
-    ASSERT_EQ(unsetenv("MEALIB_HOST_CALIBRATE"), 0);
-    RooflineCostModel costs;
-    EXPECT_EQ(costs.hostCalibrationScale(), 1.0);
+    // One model must price every call exactly as a fresh model does,
+    // whatever it priced before. The pairs differ only in fields a
+    // shape key can miss: x reused vs strided across an AXPY loop, and
+    // linear vs sinc RESMP.
+    auto axpyLoop = [](std::int64_t xStride) {
+        accel::OpCall c;
+        c.kind = accel::AccelKind::AXPY;
+        c.n = 65536;
+        c.in0.stride[0] = xStride;
+        c.out.stride[0] = 65536 * 4;
+        accel::LoopSpec loop;
+        loop.dims[0] = 64;
+        return opDescFromCall(c, loop);
+    };
+    auto resmp = [](mkl::InterpKind interp) {
+        accel::OpCall c;
+        c.kind = accel::AccelKind::RESMP;
+        c.n = 4096;
+        c.m = 16384;
+        c.resampleKind = static_cast<std::uint32_t>(interp);
+        return opDescFromCall(c, accel::LoopSpec{});
+    };
+    const std::vector<std::pair<OpDesc, OpDesc>> pairs = {
+        {axpyLoop(0), axpyLoop(65536 * 4)},
+        {resmp(mkl::InterpKind::Linear), resmp(mkl::InterpKind::Sinc8)},
+    };
+    for (const auto &[first, second] : pairs) {
+        RooflineCostModel shared;
+        shared.hostSeconds(first);
+        shared.accelSeconds(first);
+        const RooflineCostModel fresh;
+        const double hostS = shared.hostSeconds(second);
+        const double accelS = shared.accelSeconds(second);
+        const double freshHost = fresh.hostSeconds(second);
+        const double freshAccel = fresh.accelSeconds(second);
+        EXPECT_EQ(std::memcmp(&hostS, &freshHost, sizeof hostS), 0)
+            << accel::name(second.call.kind);
+        EXPECT_EQ(std::memcmp(&accelS, &freshAccel, sizeof accelS), 0)
+            << accel::name(second.call.kind);
+        // The pair really prices differently, so a stale price shows.
+        EXPECT_NE(RooflineCostModel().hostSeconds(first), freshHost);
+    }
 }
 
-TEST(CostModel, HostCalibrationScalesHostSeconds)
+TEST(CostModel, ThreadsShareOneModel)
 {
-    eval::Workload w = eval::table2Workload(accel::AccelKind::AXPY);
-    OpDesc d = opDescFromCall(w.call, w.loop);
+    // A session's dispatcher may be driven by several threads, all
+    // pricing through its one model and the accelerator models it
+    // builds on first use. Every thread must see a fresh model's price.
+    std::vector<OpDesc> descs;
+    for (std::uint8_t k = 0;
+         k < static_cast<std::uint8_t>(accel::AccelKind::kCount); ++k) {
+        eval::Workload w =
+            eval::table2Workload(static_cast<accel::AccelKind>(k));
+        descs.push_back(opDescFromCall(w.call, w.loop));
+    }
+    std::vector<double> expected;
+    for (const OpDesc &d : descs)
+        expected.push_back(RooflineCostModel().accelSeconds(d));
 
-    ASSERT_EQ(unsetenv("MEALIB_HOST_CALIBRATE"), 0);
-    RooflineCostModel pinned;
-    const double base = pinned.hostSeconds(d);
-
-    ASSERT_EQ(setenv("MEALIB_HOST_CALIBRATE", "1", 1), 0);
-    RooflineCostModel calibrated;
-    ASSERT_EQ(unsetenv("MEALIB_HOST_CALIBRATE"), 0);
-
-    const double scale = calibrated.hostCalibrationScale();
-    EXPECT_GE(scale, 0.05);
-    EXPECT_LE(scale, 20.0);
-    EXPECT_NEAR(calibrated.hostSeconds(d), base / scale,
-                1e-12 * base / scale);
+    const RooflineCostModel shared;
+    constexpr int kThreads = 4;
+    std::vector<std::vector<double>> seen(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] {
+            for (int r = 0; r < 2; ++r)
+                for (std::size_t i = 0; i < descs.size(); ++i)
+                    seen[t].push_back(shared.accelSeconds(
+                        descs[(i + t) % descs.size()]));
+        });
+    for (std::thread &th : threads)
+        th.join();
+    for (int t = 0; t < kThreads; ++t)
+        for (std::size_t j = 0; j < seen[t].size(); ++j) {
+            const double want =
+                expected[(j % descs.size() + t) % descs.size()];
+            EXPECT_EQ(std::memcmp(&seen[t][j], &want, sizeof want), 0);
+        }
 }
 
 TEST(Policy, ModelDrivenPoliciesDefaultHostWithoutOracle)

@@ -3,6 +3,7 @@
 // torture — N threads in one session and N sessions side by side must
 // reproduce the solo numbers bit for bit.
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <cstring>
@@ -16,6 +17,7 @@
 #include "apps/stap.hh"
 #include "common/logging.hh"
 #include "dispatch/dispatcher.hh"
+#include "dispatch/models.hh"
 #include "dispatch/ops.hh"
 #include "hwmodel/profile.hh"
 #include "minimkl/compat.hh"
@@ -108,6 +110,43 @@ TEST(SessionDispatch, GlobalIsStableAcrossSessions)
     Session s(rt);
     SessionBinding bound = s.bind();
     EXPECT_EQ(&dispatch::Dispatcher::global(), before);
+}
+
+TEST(SessionDispatch, CostModelPricesTheFusionWindow)
+{
+    // A session with window 4 executes its offloads fused, four per
+    // flush + handshake, so its cost model must price them that way.
+    // At n = 8192 the amortized invocation flips the crossover from
+    // the host to the accelerator.
+    const std::int64_t n = 8192;
+    std::vector<float> hx(n), hy(n);
+    const dispatch::OpDesc probe =
+        dispatch::lowerSaxpy(n, 0.5f, hx.data(), 1, hy.data(), 1);
+    dispatch::RooflineCostModel fused;
+    fused.setFusionWindow(4);
+    ASSERT_LT(fused.accelSeconds(probe), fused.hostSeconds(probe));
+    const dispatch::RooflineCostModel unfused;
+    ASSERT_GT(unfused.accelSeconds(probe), unfused.hostSeconds(probe));
+
+    runtime::MealibRuntime rt(testConfig());
+    SessionOptions opts;
+    opts.policy = "crossover";
+    opts.fusionWindow = 4;
+    Session s(rt, opts);
+    auto *x = static_cast<float *>(rt.memAlloc(n * sizeof(float)));
+    auto *y = static_cast<float *>(rt.memAlloc(n * sizeof(float)));
+    std::fill(x, x + n, 1.0f);
+    std::fill(y, y + n, 2.0f);
+    {
+        SessionBinding bound = s.bind();
+        cblas_saxpy(static_cast<int>(n), 0.5f, x, 1, y, 1);
+    }
+    s.sync();
+    EXPECT_EQ(s.dispatcher().snapshot().totalAccelDecisions(), 1u);
+    EXPECT_EQ(s.dispatcher().snapshot().totalOffloaded(), 1u);
+    EXPECT_FLOAT_EQ(y[n - 1], 2.5f);
+    rt.memFree(x);
+    rt.memFree(y);
 }
 
 // --- ledger attribution ------------------------------------------------

@@ -192,12 +192,11 @@ printHelp(const std::string &program)
         "reuse (docs/RUNTIME.md):\n"
         "  --residency            track cross-command operand residency\n"
         "                         and elide redundant flush/verify work\n"
-        "                         (also: MEALIB_RESIDENCY=1)\n"
         "  --fusion-window=N      fuse up to N adjacent same-stack\n"
         "                         dispatched calls into one descriptor\n"
-        "                         program (default 1 = off; also:\n"
-        "                         MEALIB_FUSION_WINDOW; needs\n"
-        "                         --offload-policy)\n"
+        "                         program (default 1 = off); a TDL run\n"
+        "                         needs --offload-policy or\n"
+        "                         --dispatch-json\n"
         "\n"
         "exit codes: 0 success, 1 internal error, 2 usage/config\n"
         "error (incl. an unknown flag, or one that does nothing on the\n"
@@ -568,6 +567,13 @@ checkFlags(const Cli &cli, bool clients)
         if (!clients && client)
             return invalid("--" + flag + " needs --clients");
     }
+    // Only dispatched calls fuse: a plain TDL run submits the whole
+    // program as one plan.
+    if (!clients && cli.has("fusion-window") &&
+        cli.get("offload-policy", "").empty() &&
+        cli.get("dispatch-json", "").empty())
+        return invalid("--fusion-window needs --offload-policy or "
+                       "--dispatch-json");
     return Status();
 }
 
@@ -650,13 +656,11 @@ buildConfig(const Cli &cli)
     return cfg;
 }
 
-/** --fusion-window, defaulting to MEALIB_FUSION_WINDOW; at least 1. */
+/** --fusion-window (default 1); at least 1. */
 unsigned
 fusionWindow(const Cli &cli)
 {
-    const std::int64_t w = cli.getInt(
-        "fusion-window",
-        static_cast<std::int64_t>(dispatch::fusionWindowFromEnv()));
+    const std::int64_t w = cli.getInt("fusion-window", 1);
     if (w < 1) {
         throw MealibError(
             Status::error(ErrorCode::InvalidArgument,
