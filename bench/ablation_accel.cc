@@ -17,6 +17,7 @@
 #include "accel/config.hh"
 #include "accel/model.hh"
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "dram/params.hh"
 #include "mealib/platform.hh"
 #include "noc/mesh.hh"
@@ -26,8 +27,11 @@ using namespace mealib;
 using mealib::accel::AccelKind;
 
 int
-main()
+main(int argc, char **argv)
 {
+    FlagTable("Ablation: accelerator-side design choices "
+              "(takes no flags).")
+        .parseOrExit(argc, argv);
     bench::banner("Ablation: accelerator-side design choices",
                   "SPMV local memory & gather concurrency, FFT pass "
                   "crossover, operand placement");

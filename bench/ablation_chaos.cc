@@ -162,11 +162,17 @@ runCell(std::uint64_t seed, double rate, unsigned ckptInterval,
 int
 main(int argc, char **argv)
 {
-    Cli cli(argc, argv);
-    const bool quick = cli.has("quick");
-    const std::uint64_t oneSeed =
-        static_cast<std::uint64_t>(cli.getInt("seed", 0));
-    const std::string jsonPath = cli.get("json", "BENCH_chaos.json");
+    FlagTable table("Chaos soak of the resilience stack.");
+    const Flag &quickRow =
+        table.add({"quick", FlagType::Bool, "", "a reduced sweep for CI"});
+    const Flag &seedRow = table.add(
+        {"seed", FlagType::Int, "0", "only this seed (0 = all)", 0, HUGE_VAL});
+    const Flag &jsonRow = table.add(
+        {"json", FlagType::String, "BENCH_chaos.json", "JSON record path"});
+    const Flags flags = table.parseOrExit(argc, argv);
+    const bool quick = flags.on(quickRow);
+    const auto oneSeed = static_cast<std::uint64_t>(flags.integer(seedRow));
+    const std::string jsonPath = flags.text(jsonRow);
 
     bench::banner("Chaos soak: integrity, checkpoint/replay & "
                   "quarantine",

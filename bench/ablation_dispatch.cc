@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "dispatch/dispatcher.hh"
 #include "dispatch/models.hh"
 #include "dispatch/opdesc.hh"
@@ -55,8 +56,11 @@ struct Cell
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    FlagTable("Ablation: offload policy x op kind x size "
+              "(takes no flags).")
+        .parseOrExit(argc, argv);
     bench::banner(
         "ablation: offload policy x op kind x size (docs/DISPATCH.md)",
         "memory-bounded library calls win on the memory-side "

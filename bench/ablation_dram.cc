@@ -12,6 +12,7 @@
 #include <cstdio>
 
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "common/rng.hh"
 #include "dram/params.hh"
 #include "dram/stack.hh"
@@ -63,8 +64,11 @@ conflictTrace(const DramParams &p, std::uint64_t bytes)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    FlagTable("Ablation: DRAM-side design choices "
+              "(takes no flags).")
+        .parseOrExit(argc, argv);
     bench::banner("Ablation: DRAM-side design choices",
                   "scheduler window, page policy, refresh overhead "
                   "(design-space support for Secs. 2.1/4.2)");

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "runtime/runtime.hh"
 
 using namespace mealib;
@@ -128,8 +129,11 @@ runConfig(unsigned stacks, double rate, unsigned maxRetries,
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    FlagTable("Ablation: fault injection and graceful degradation "
+              "(takes no flags).")
+        .parseOrExit(argc, argv);
     bench::banner("Ablation: fault injection & graceful degradation",
                   "fault rate x retry budget x stack count; recovery "
                   "cost and availability under a fixed seed");

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "runtime/runtime.hh"
 
 using namespace mealib;
@@ -114,8 +115,11 @@ runConfig(unsigned stacks, unsigned depth,
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    FlagTable("Ablation: asynchronous command queues "
+              "(takes no flags).")
+        .parseOrExit(argc, argv);
     bench::banner("Ablation: asynchronous command queues",
                   "queue depth x scheduler x stack count; overlap-aware "
                   "makespan vs serial total");

@@ -252,12 +252,20 @@ hex64(std::uint64_t v)
 int
 main(int argc, char **argv)
 {
-    Cli cli(argc, argv);
-    const bool quick = cli.has("quick");
-    const bool check = cli.has("check");
-    const std::uint64_t seed =
-        static_cast<std::uint64_t>(cli.getInt("seed", 0));
-    const std::string jsonPath = cli.get("json", "BENCH_reuse.json");
+    FlagTable table("Residency x fusion window x chain length.");
+    const Flag &quickRow =
+        table.add({"quick", FlagType::Bool, "", "a reduced sweep for CI"});
+    const Flag &checkRow = table.add(
+        {"check", FlagType::Bool, "", "exit 1 unless the gates hold"});
+    const Flag &seedRow = table.add(
+        {"seed", FlagType::Int, "0", "workload data seed", 0, HUGE_VAL});
+    const Flag &jsonRow = table.add(
+        {"json", FlagType::String, "BENCH_reuse.json", "JSON record path"});
+    const Flags flags = table.parseOrExit(argc, argv);
+    const bool quick = flags.on(quickRow);
+    const bool check = flags.on(checkRow);
+    const auto seed = static_cast<std::uint64_t>(flags.integer(seedRow));
+    const std::string jsonPath = flags.text(jsonRow);
 
     bench::banner(
         "ablation: residency x fusion window x chain length "

@@ -22,10 +22,17 @@ using mealib::accel::AccelKind;
 int
 main(int argc, char **argv)
 {
-    Cli cli(argc, argv);
-    double scale = cli.has("paper-scale")
-                       ? 1.0
-                       : cli.getDouble("scale", 1.0 / 16.0);
+    FlagTable table("Figure 9: per-op performance on five platforms.", "", 0,
+                    {"scaled runs", "--paper-scale runs"});
+    const Flag &paperScale = table.add(
+        {"paper-scale", FlagType::Bool, "", "full Table 2 data sets"});
+    const Flag &scaleRow =
+        table.add(Flag{"scale", FlagType::Real, "0.0625",
+                       "data-set scale relative to Table 2", 1e-9, 1}
+                      .in(1));
+    const Flags flags = table.parseOrExit(
+        argc, argv, [&](const Flags &f) { return f.on(paperScale) ? 2 : 1; });
+    const double scale = flags.on(paperScale) ? 1.0 : flags.real(scaleRow);
 
     bench::banner("Figure 9: performance improvement over Intel MKL on "
                   "Haswell",

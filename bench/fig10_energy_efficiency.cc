@@ -26,13 +26,27 @@ using mealib::accel::AccelKind;
 int
 main(int argc, char **argv)
 {
-    Cli cli(argc, argv);
-    const bool quick = cli.has("quick");
-    double scale = cli.has("paper-scale")
-                       ? 1.0
-                       : cli.getDouble("scale",
-                                       quick ? 1.0 / 64.0 : 1.0 / 16.0);
-    const std::string json_path = cli.get("json", "");
+    FlagTable table("Figure 10: per-op energy efficiency on five "
+                    "platforms.",
+                    "", 0, {"scaled runs", "--paper-scale runs"});
+    const Flag &quickRow = table.add(
+        {"quick", FlagType::Bool, "", "scale 1/64, short timing budget"});
+    const Flag &paperScale = table.add(
+        {"paper-scale", FlagType::Bool, "", "full Table 2 data sets"});
+    const Flag &scaleRow =
+        table.add(Flag{"scale", FlagType::Real, "0.0625",
+                       "data-set scale relative to Table 2", 1e-9, 1}
+                      .in(1));
+    const Flag &jsonRow =
+        table.add({"json", FlagType::String, "", "write records to PATH"});
+    const Flags flags = table.parseOrExit(
+        argc, argv, [&](const Flags &f) { return f.on(paperScale) ? 2 : 1; });
+    const bool quick = flags.on(quickRow);
+    const double scale = flags.on(paperScale)     ? 1.0
+                         : flags.given(scaleRow) ? flags.real(scaleRow)
+                         : quick                 ? 1.0 / 64.0
+                                                 : 1.0 / 16.0;
+    const std::string json_path = flags.text(jsonRow);
 
     bench::banner("Figure 10: energy-efficiency improvement over Intel "
                   "MKL on Haswell",

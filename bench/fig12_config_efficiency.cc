@@ -21,8 +21,9 @@ using namespace mealib;
 int
 main(int argc, char **argv)
 {
-    Cli cli(argc, argv);
-    (void)cli;
+    FlagTable("Figure 12: efficiency of the configuration "
+              "infrastructure.")
+        .parseOrExit(argc, argv);
 
     bench::banner("Figure 12: accelerator chaining and loop efficiency",
                   "(a) SW/HW chaining 2.5x at 256^2 shrinking with "

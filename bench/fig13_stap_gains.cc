@@ -28,11 +28,21 @@ using namespace mealib;
 int
 main(int argc, char **argv)
 {
-    Cli cli(argc, argv);
-    const bool quick = cli.has("quick");
-    const bool include_large =
-        !quick && (cli.has("large") || cli.has("paper-scale"));
-    const std::string json_path = cli.get("json", "");
+    FlagTable table("Figure 13: STAP gains over the Haswell baseline.", "",
+                    0, {"full runs", "--quick runs"});
+    const Flag &quickRow = table.add(
+        {"quick", FlagType::Bool, "", "only the small data set"});
+    const Flag &large = table.add(
+        Flag{"large", FlagType::Bool, "", "add the large data set"}.in(1));
+    const Flag &paperScale = table.add(
+        Flag{"paper-scale", FlagType::Bool, "", "same as --large"}.in(1));
+    const Flag &jsonRow =
+        table.add({"json", FlagType::String, "", "write records to PATH"});
+    const Flags flags = table.parseOrExit(
+        argc, argv, [&](const Flags &f) { return f.on(quickRow) ? 2 : 1; });
+    const bool quick = flags.on(quickRow);
+    const bool include_large = flags.on(large) || flags.on(paperScale);
+    const std::string json_path = flags.text(jsonRow);
 
     bench::banner("Figure 13: STAP gains over the Haswell baseline",
                   "performance 2.0/2.3/3.2x and EDP 4.5/9.0/10.2x for "

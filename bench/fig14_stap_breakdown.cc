@@ -23,11 +23,13 @@ using namespace mealib;
 int
 main(int argc, char **argv)
 {
-    Cli cli(argc, argv);
-    apps::StapParams params = cli.has("large")
-                                  ? apps::StapParams::largeSet()
-                                  : apps::StapParams::mediumSet();
-    std::uint64_t arena = cli.has("large") ? 1536_MiB : 256_MiB;
+    FlagTable table("Figure 14: MEALib STAP time and energy breakdown.");
+    const Flag &largeRow = table.add(
+        {"large", FlagType::Bool, "", "the large data set, not medium"});
+    const bool large = table.parseOrExit(argc, argv).on(largeRow);
+    apps::StapParams params = large ? apps::StapParams::largeSet()
+                                    : apps::StapParams::mediumSet();
+    std::uint64_t arena = large ? 1536_MiB : 256_MiB;
 
     bench::banner("Figure 14: STAP time/energy breakdown on MEALib",
                   "(a) host 75% time / 90% energy; (b) DOT 60%/76%, "

@@ -8,18 +8,20 @@
  * Not a paper figure — library-release hygiene. `--json <path>` writes
  * BENCH_kernels.json-style output (per-kernel GB/s and speedups) that
  * CI uploads as the perf trajectory artifact; later PRs regress against
- * it. `--quick` shrinks sizes for a smoke run.
+ * it. `--quick` shrinks sizes for a smoke run; `--help` lists the rest.
  */
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "common/parallel.hh"
 #include "common/rng.hh"
 #include "common/simd.hh"
@@ -419,56 +421,48 @@ checkDeterminism(const Options &opt, bench::JsonWriter &json)
     return threadsOk && crossIsaOk;
 }
 
+/** The command line: --json PATH, --quick, --threads, --simd. */
 Options
 parseArgs(int argc, char **argv)
 {
+    std::string sweep;
+    for (int t : defaultThreadSweep())
+        sweep += (sweep.empty() ? "" : ",") + std::to_string(t);
+    FlagTable table("MiniMKL kernels: optimized vs naive, by thread count "
+                    "and SIMD level.");
+    const Flag &jsonRow =
+        table.add({"json", FlagType::String, "", "write records to PATH"});
+    const Flag &quickRow =
+        table.add({"quick", FlagType::Bool, "", "small sizes, short budget"});
+    const Flag &threadsRow = table.add(
+        {"threads", FlagType::IntList, sweep, "thread counts", 1, 64});
+    const Flag &simdRow = table.add({"simd", FlagType::String, "",
+                                     "SIMD levels, comma-separated "
+                                     "(default: scalar + the best)"});
+    const Flags flags = table.parseOrExit(argc, argv);
+
     Options opt;
-    opt.threads = defaultThreadSweep();
+    opt.jsonPath = flags.text(jsonRow);
+    opt.quick = flags.on(quickRow);
+    if (opt.quick) {
+        opt.timing.targetSeconds = 0.01;
+        opt.timing.repetitions = 3;
+    }
+    const std::vector<std::int64_t> threads = flags.ints(threadsRow);
+    opt.threads.assign(threads.begin(), threads.end());
     opt.simdLevels = defaultSimdSweep();
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--json" && i + 1 < argc) {
-            opt.jsonPath = argv[++i];
-        } else if (arg == "--quick") {
-            opt.quick = true;
-            opt.timing.targetSeconds = 0.01;
-            opt.timing.repetitions = 3;
-        } else if (arg == "--simd" && i + 1 < argc) {
-            opt.simdLevels.clear();
-            std::string list = argv[++i];
-            std::size_t pos = 0;
-            while (pos < list.size()) {
-                std::size_t comma = list.find(',', pos);
-                if (comma == std::string::npos)
-                    comma = list.size();
-                std::string item = list.substr(pos, comma - pos);
-                simd::SimdLevel level;
-                if (!simd::parseLevel(item.c_str(), &level)) {
-                    std::fprintf(stderr, "unknown simd level '%s'\n",
-                                 item.c_str());
-                    std::exit(2);
-                }
-                opt.simdLevels.push_back(level);
-                pos = comma + 1;
+    if (flags.given(simdRow)) {
+        opt.simdLevels.clear();
+        std::stringstream list(flags.text(simdRow));
+        std::string item;
+        while (std::getline(list, item, ',')) {
+            simd::SimdLevel level;
+            if (!simd::parseLevel(item.c_str(), &level)) {
+                std::fprintf(stderr, "unknown simd level '%s'\n",
+                             item.c_str());
+                std::exit(2);
             }
-        } else if (arg == "--threads" && i + 1 < argc) {
-            opt.threads.clear();
-            std::string list = argv[++i];
-            std::size_t pos = 0;
-            while (pos < list.size()) {
-                std::size_t comma = list.find(',', pos);
-                if (comma == std::string::npos)
-                    comma = list.size();
-                opt.threads.push_back(
-                    std::stoi(list.substr(pos, comma - pos)));
-                pos = comma + 1;
-            }
-        } else {
-            std::fprintf(stderr,
-                         "usage: kernels_microbench [--json <path>] "
-                         "[--quick] [--threads 1,2,4] "
-                         "[--simd scalar,sse4,avx2,avx512,auto]\n");
-            std::exit(2);
+            opt.simdLevels.push_back(level);
         }
     }
     return opt;

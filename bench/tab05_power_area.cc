@@ -50,10 +50,17 @@ check(bool ok, const char *what, double got, double want)
 int
 main(int argc, char **argv)
 {
-    Cli cli(argc, argv);
-    const bool quick = cli.has("quick");
-    const bool do_check = cli.has("check");
-    const std::string json_path = cli.get("json", "");
+    FlagTable table("Table 5: power and area of the accelerator layer.");
+    const Flag &quickRow =
+        table.add({"quick", FlagType::Bool, "", "short timing budget"});
+    const Flag &checkRow = table.add(
+        {"check", FlagType::Bool, "", "exit 1 unless the Table 5 pins hold"});
+    const Flag &jsonRow =
+        table.add({"json", FlagType::String, "", "write records to PATH"});
+    const Flags flags = table.parseOrExit(argc, argv);
+    const bool quick = flags.on(quickRow);
+    const bool do_check = flags.on(checkRow);
+    const std::string json_path = flags.text(jsonRow);
 
     bench::banner(
         "Table 5: power and area of the accelerator layer (32 nm)",

@@ -20,6 +20,7 @@
 
 #include <cstdio>
 
+#include "common/cli.hh"
 #include "runtime/runtime.hh"
 
 using namespace mealib;
@@ -62,8 +63,10 @@ planAxpy(runtime::MealibRuntime &rt, float alpha, const float *x,
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    FlagTable("Asynchronous submits overlapping on two stacks.")
+        .parseOrExit(argc, argv);
     // 1. Two memory stacks, each with its own in-order command queue.
     runtime::RuntimeConfig cfg;
     cfg.backingBytes = 64_MiB;

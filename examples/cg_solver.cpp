@@ -20,12 +20,18 @@ using namespace mealib;
 int
 main(int argc, char **argv)
 {
-    Cli cli(argc, argv);
-    const std::int64_t n = cli.getInt("n", 20000);
+    FlagTable table("Conjugate-gradient solve of a random SPD system.");
+    const Flag &nRow =
+        table.add({"n", FlagType::Int, "20000", "unknowns", 1, 1 << 24});
+    const Flag &tol = table.add(
+        {"tol", FlagType::Real, "1e-4", "relative residual", 0, HUGE_VAL});
+    const Flag &maxIters = table.add(
+        {"max-iters", FlagType::Int, "300", "iteration cap", 1, 1e9});
+    const Flags flags = table.parseOrExit(argc, argv);
+    const std::int64_t n = flags.integer(nRow);
     apps::CgOptions opts;
-    opts.tolerance = cli.getDouble("tol", 1e-4);
-    opts.maxIterations =
-        static_cast<unsigned>(cli.getInt("max-iters", 300));
+    opts.tolerance = flags.real(tol);
+    opts.maxIterations = static_cast<unsigned>(flags.integer(maxIters));
 
     std::printf("building SPD system: RGG Laplacian, n = %lld...\n",
                 static_cast<long long>(n));

@@ -22,6 +22,7 @@
 
 #include <cstdio>
 
+#include "common/cli.hh"
 #include "runtime/runtime.hh"
 
 using namespace mealib;
@@ -62,8 +63,10 @@ planAxpy(runtime::MealibRuntime &rt, float alpha, const float *x,
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    FlagTable("A pipeline that survives injected faults.")
+        .parseOrExit(argc, argv);
     // 1. Two stacks; transient compute faults at 20% per attempt, and
     //    stack 0 scripted to die right before the 4th command. The seed
     //    makes every run of this example inject identical faults.

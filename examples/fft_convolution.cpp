@@ -47,8 +47,11 @@ fftCall(runtime::MealibRuntime &rt, const cfloat *in, cfloat *out,
 int
 main(int argc, char **argv)
 {
-    Cli cli(argc, argv);
-    const auto n = static_cast<std::uint64_t>(cli.getInt("n", 4096));
+    FlagTable table("FFT convolution through the accelerated library.");
+    const Flag &nRow = table.add(
+        {"n", FlagType::Int, "4096", "length, a power of two", 1, 1 << 24});
+    const auto n = static_cast<std::uint64_t>(
+        table.parseOrExit(argc, argv).integer(nRow));
     if (n == 0 || (n & (n - 1)) != 0) {
         std::fprintf(stderr, "--n must be a power of two\n");
         return 2;

@@ -20,6 +20,7 @@
 #include <map>
 #include <vector>
 
+#include "common/cli.hh"
 #include "common/logging.hh"
 #include "minimkl/blas1.hh"
 #include "runtime/runtime.hh"
@@ -48,8 +49,10 @@ free(acc);
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    FlagTable("Port a legacy C kernel through s2s and run it.")
+        .parseOrExit(argc, argv);
     std::printf("--- legacy source ---------------------------------\n");
     std::printf("%s\n", kLegacySource);
 

@@ -17,6 +17,7 @@
 
 #include <cstdio>
 
+#include "common/cli.hh"
 #include "runtime/runtime.hh"
 
 using namespace mealib;
@@ -25,8 +26,10 @@ using accel::DescriptorProgram;
 using accel::OpCall;
 
 int
-main()
+main(int argc, char **argv)
 {
+    FlagTable("Plan, execute and destroy one accelerated AXPY.")
+        .parseOrExit(argc, argv);
     // 1. Runtime: Haswell-class host + HMC-like stack, 64 MiB arena.
     runtime::RuntimeConfig cfg;
     cfg.backingBytes = 64_MiB;

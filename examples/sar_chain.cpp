@@ -24,9 +24,13 @@ using namespace mealib;
 int
 main(int argc, char **argv)
 {
-    Cli cli(argc, argv);
-    std::uint64_t n = static_cast<std::uint64_t>(
-        cli.getInt("size", 128));
+    FlagTable table("SAR range-compression chain on MEALib.");
+    const Flag &size =
+        table.add({"size", FlagType::Int, "128", "image side", 1, 1 << 16});
+    const Flag &sweep = table.add(
+        {"sweep", FlagType::Bool, "", "add a Fig. 12a cost-model sweep"});
+    const Flags flags = table.parseOrExit(argc, argv);
+    const auto n = static_cast<std::uint64_t>(flags.integer(size));
 
     // Functional run at a laptop-friendly size.
     runtime::RuntimeConfig cfg;
@@ -63,7 +67,7 @@ main(int argc, char **argv)
     std::printf("image energy: %.3e (nonzero => pipeline actually "
                 "computed)\n", energy);
 
-    if (cli.has("sweep")) {
+    if (flags.on(sweep)) {
         std::printf("\ncost-model sweep over Fig. 12a sizes:\n");
         runtime::RuntimeConfig mc;
         mc.functional = false;

@@ -24,13 +24,20 @@ using namespace mealib;
 int
 main(int argc, char **argv)
 {
-    Cli cli(argc, argv);
+    FlagTable table("STAP on MEALib vs the host, checked bit for bit.", "",
+                    0, {"small or --large runs", "--medium runs"});
+    const Flag &medium = table.add(
+        Flag{"medium", FlagType::Bool, "", "the medium data set"}.in(2));
+    const Flag &large = table.add(
+        Flag{"large", FlagType::Bool, "", "the large data set"}.in(1));
+    const Flags flags = table.parseOrExit(
+        argc, argv, [&](const Flags &f) { return f.on(medium) ? 2 : 1; });
     apps::StapParams params = apps::StapParams::smallSet();
     std::uint64_t arena = 128_MiB;
-    if (cli.has("medium")) {
+    if (flags.on(medium)) {
         params = apps::StapParams::mediumSet();
         arena = 256_MiB;
-    } else if (cli.has("large")) {
+    } else if (flags.on(large)) {
         params = apps::StapParams::largeSet();
         arena = 1536_MiB;
     }

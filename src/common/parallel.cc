@@ -1,7 +1,8 @@
 #include "common/parallel.hh"
 
 #include <algorithm>
-#include <cstdlib>
+
+#include "common/cli.hh"
 
 namespace mealib {
 
@@ -15,22 +16,9 @@ KernelTuning
 KernelTuning::fromEnv()
 {
     KernelTuning t;
-    unsigned hw = std::thread::hardware_concurrency();
-    std::int64_t threads = hw == 0 ? 1 : hw;
-    if (const char *v = std::getenv("MEALIB_NUM_THREADS");
-        v != nullptr && *v) {
-        char *end = nullptr;
-        const long long parsed = std::strtoll(v, &end, 10);
-        if (end != v)
-            threads = std::clamp<std::int64_t>(parsed, 1,
-                                               ThreadPool::kMaxWorkers + 1);
-    }
-    t.numThreads = static_cast<int>(threads);
-    if (const char *s = std::getenv("MEALIB_SIMD"); s != nullptr && *s) {
-        simd::SimdLevel level;
-        if (simd::parseLevel(s, &level))
-            t.simd = level;
-    }
+    t.numThreads = static_cast<int>(
+        std::stoll(envValue(envFlag(Env::NumThreads))));
+    simd::parseLevel(envValue(envFlag(Env::Simd)).c_str(), &t.simd);
     return t;
 }
 

@@ -48,6 +48,10 @@ namespace mealib {
  *
  *   MEALIB_NUM_THREADS     worker threads used to partition loops
  *   MEALIB_SIMD            scalar|sse4|avx2|avx512|auto kernel backend
+ *
+ * Unset or empty means the default; any other value outside the
+ * accepted set (MEALIB_NUM_THREADS: 1..kMaxWorkers+1) throws
+ * MealibError (InvalidArgument).
  */
 struct KernelTuning
 {

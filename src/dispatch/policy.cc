@@ -1,10 +1,9 @@
 #include "dispatch/policy.hh"
 
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 
-#include "common/logging.hh"
+#include "common/cli.hh"
 
 namespace mealib::dispatch {
 
@@ -68,15 +67,7 @@ makePolicy(const std::string &name)
 std::unique_ptr<OffloadPolicy>
 policyFromEnv()
 {
-    const char *env = std::getenv("MEALIB_OFFLOAD_POLICY");
-    if (env != nullptr && *env != '\0') {
-        auto policy = makePolicy(env);
-        if (policy)
-            return policy;
-        warn("MEALIB_OFFLOAD_POLICY='", env,
-             "' not recognized; using host-only dispatch");
-    }
-    return std::make_unique<HostOnly>();
+    return makePolicy(envValue(envFlag(Env::OffloadPolicy)));
 }
 
 } // namespace mealib::dispatch

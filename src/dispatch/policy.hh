@@ -140,7 +140,8 @@ std::unique_ptr<OffloadPolicy> makePolicy(const std::string &name);
 
 /**
  * Policy from the MEALIB_OFFLOAD_POLICY environment variable; HostOnly
- * when unset, empty or unrecognized.
+ * when unset or empty. An unrecognized value throws MealibError
+ * (InvalidArgument).
  */
 std::unique_ptr<OffloadPolicy> policyFromEnv();
 

@@ -1,8 +1,8 @@
 #include "hwmodel/profile.hh"
 
-#include <cstdlib>
 #include <mutex>
 
+#include "common/cli.hh"
 #include "common/logging.hh"
 
 namespace mealib::hwmodel {
@@ -149,14 +149,7 @@ activeSlot()
 const MachineProfile *
 resolveInitialActive()
 {
-    const char *env = std::getenv("MEALIB_MACHINE");
-    if (env != nullptr && env[0] != '\0') {
-        if (const MachineProfile *p = lookup(env))
-            return p;
-        warn("MEALIB_MACHINE=", env, " is not a known machine; using ",
-             "haswell4770k");
-    }
-    return &registry().haswell;
+    return lookup(envValue(envFlag(Env::Machine)));
 }
 
 } // namespace

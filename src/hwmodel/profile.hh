@@ -107,9 +107,9 @@ bool knownMachine(const std::string &name);
 std::vector<std::string> profileNames();
 
 /**
- * The process-wide active profile: MEALIB_MACHINE at first use (unset,
- * empty or unknown falls back to `haswell4770k`), overridable with
- * setActiveMachine(). RuntimeConfig's defaults, the dispatch cost
+ * The process-wide active profile: MEALIB_MACHINE at first use (unset
+ * or empty means `haswell4770k`; an unknown name throws MealibError
+ * InvalidArgument), overridable with setActiveMachine(). RuntimeConfig's defaults, the dispatch cost
  * oracle and the app pipelines all derive from this.
  */
 const MachineProfile &activeProfile();

@@ -1,8 +1,12 @@
-// Unit tests for the common substrate: logging, units, RNG, stats, CLI.
+// Unit tests for the common substrate: logging, units, RNG, stats, the
+// flag table and its environment variables.
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "common/cli.hh"
+#include "common/parallel.hh"
 #include "common/ledger.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -157,33 +161,218 @@ TEST(Stats, BreakdownAccumulates)
     EXPECT_DOUBLE_EQ(b.get("x"), 3.0);
 }
 
-TEST(Cli, FlagForms)
+/** One row of every type, two run modes, one positional. */
+struct TestTable
 {
-    const char *argv[] = {"prog", "--verbose", "--size=128",
-                          "--name", "foo", "positional"};
-    Cli cli(6, argv);
-    EXPECT_TRUE(cli.has("verbose"));
-    EXPECT_FALSE(cli.has("absent"));
-    EXPECT_EQ(cli.getInt("size", 0), 128);
-    EXPECT_EQ(cli.get("name", ""), "foo");
-    ASSERT_EQ(cli.positional().size(), 1u);
-    EXPECT_EQ(cli.positional()[0], "positional");
+    FlagTable table{"test summary", "<file>", 1, {"solo", "shared"}};
+    const Flag &verbose = table.add({"verbose", FlagType::Bool, "", "x"});
+    const Flag &size = table.add({"size", FlagType::Int, "42", "", 1, 1024});
+    const Flag &rate =
+        table.add({"rate", FlagType::Real, "2.5", "", -1.0, 10.0});
+    const Flag &name = table.add({"name", FlagType::String, "dft", ""});
+    const Flag &mode =
+        table.add({"mode", FlagType::Choice, "a", "", 0, 0, {"a", "b"}});
+    const Flag &threads =
+        table.add({"threads", FlagType::IntList, "1,2", "", 1, 64});
+    const Flag &peers =
+        table.add(Flag{"peers", FlagType::Int, "1", "", 1, 8}.in(2));
+
+    Flags
+    parse(std::vector<const char *> args) const
+    {
+        args.insert(args.begin(), "prog");
+        return table.parse(static_cast<int>(args.size()), args.data());
+    }
+};
+
+/** Expect parsing @p args to throw InvalidArgument. */
+void
+expectRejected(const TestTable &t, std::vector<const char *> args)
+{
+    try {
+        t.parse(args);
+        ADD_FAILURE() << "accepted " << args.front();
+    } catch (const MealibError &e) {
+        EXPECT_EQ(e.code(), ErrorCode::InvalidArgument) << e.what();
+    }
 }
 
-TEST(Cli, DefaultsWhenAbsent)
+TEST(FlagTable, EveryRowTypeInBothForms)
 {
-    const char *argv[] = {"prog"};
-    Cli cli(1, argv);
-    EXPECT_EQ(cli.getInt("n", 42), 42);
-    EXPECT_DOUBLE_EQ(cli.getDouble("f", 2.5), 2.5);
-    EXPECT_EQ(cli.get("s", "dft"), "dft");
+    TestTable t;
+    const Flags f = t.parse({"--verbose", "--size=128", "--name", "foo",
+                             "--rate", "-0.5", "--mode=b", "--threads",
+                             "1,4,64", "positional"});
+    EXPECT_TRUE(f.on(t.verbose));
+    EXPECT_EQ(f.integer(t.size), 128);
+    EXPECT_DOUBLE_EQ(f.real(t.rate), -0.5); // negative, space form
+    EXPECT_EQ(f.text(t.name), "foo");
+    EXPECT_EQ(f.text(t.mode), "b");
+    EXPECT_EQ(f.ints(t.threads), (std::vector<std::int64_t>{1, 4, 64}));
+    EXPECT_FALSE(f.given(t.peers));
+    ASSERT_EQ(f.positional().size(), 1u);
+    EXPECT_EQ(f.positional()[0], "positional");
+    EXPECT_EQ(f.program(), "prog");
 }
 
-TEST(Cli, BadIntegerIsFatal)
+TEST(FlagTable, DefaultsWhenAbsent)
 {
-    const char *argv[] = {"prog", "--n=abc"};
-    Cli cli(2, argv);
-    EXPECT_THROW(cli.getInt("n", 0), FatalError);
+    TestTable t;
+    const Flags f = t.parse({});
+    EXPECT_FALSE(f.on(t.verbose));
+    EXPECT_FALSE(f.given(t.size));
+    EXPECT_EQ(f.integer(t.size), 42);
+    EXPECT_DOUBLE_EQ(f.real(t.rate), 2.5);
+    EXPECT_EQ(f.text(t.name), "dft");
+    EXPECT_EQ(f.text(t.mode), "a");
+    EXPECT_EQ(f.ints(t.threads), (std::vector<std::int64_t>{1, 2}));
+}
+
+TEST(FlagTable, RejectsEveryInputThatWouldNotTakeEffect)
+{
+    TestTable t;
+    expectRejected(t, {"--verbose=no"});   // a bool given a value
+    expectRejected(t, {"--verbose="});
+    expectRejected(t, {"--size="});        // an empty value
+    expectRejected(t, {"--name="});
+    expectRejected(t, {"--size"});         // no value at all
+    expectRejected(t, {"--size", "--verbose"});
+    expectRejected(t, {"--size=abc"});     // malformed
+    expectRejected(t, {"--size=12kb"});
+    expectRejected(t, {"--rate=x"});
+    expectRejected(t, {"--size=0"});       // out of range
+    expectRejected(t, {"--size", "-1"});
+    expectRejected(t, {"--rate=nan"});
+    expectRejected(t, {"--rate=11"});
+    expectRejected(t, {"--threads=1,65"});
+    expectRejected(t, {"--threads=1,,2"});
+    expectRejected(t, {"--mode=c"});       // a bad choice
+    expectRejected(t, {"--nope"});         // undeclared
+    expectRejected(t, {"--size=2", "--size=3"}); // repeated
+    expectRejected(t, {"one", "two"});     // a stray positional
+}
+
+TEST(FlagTable, InapplicableFlagIsRejected)
+{
+    TestTable t;
+    const Flags f = t.parse({"--peers=3"});
+    EXPECT_NO_THROW(f.requireMode(2));
+    EXPECT_EQ(f.integer(t.peers), 3);
+    try {
+        f.requireMode(1);
+        ADD_FAILURE() << "--peers accepted on a solo run";
+    } catch (const MealibError &e) {
+        EXPECT_NE(std::string(e.what()).find("--peers does nothing on solo"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_NO_THROW(t.parse({"--size=3"}).requireMode(1));
+}
+
+TEST(FlagTable, RangeBoundsAreInclusive)
+{
+    // The bound mealib-run's --clients and kernels_microbench --threads
+    // declare: up to 64 client threads, never more.
+    const Flag clients = Flag{"clients", FlagType::Int, "1", "", 1, 64};
+    EXPECT_TRUE(clients.check("1").ok());
+    EXPECT_TRUE(clients.check("64").ok());
+    EXPECT_FALSE(clients.check("65").ok());
+    EXPECT_FALSE(clients.check("0").ok());
+    const Flag threads{"threads", FlagType::IntList, "1", "", 1, 64};
+    EXPECT_FALSE(threads.check("2,65").ok());
+}
+
+TEST(FlagTable, HelpListsEveryRow)
+{
+    TestTable t;
+    const std::string help = t.table.help("prog");
+    EXPECT_NE(help.find("usage: prog <file>"), std::string::npos);
+    EXPECT_NE(help.find("test summary"), std::string::npos);
+    for (const char *row : {"--verbose", "--size=N", "--rate=X", "--name=S",
+                            "--mode=C", "--threads=N,...", "--peers=N",
+                            "--help"})
+        EXPECT_NE(help.find(row), std::string::npos) << row;
+    EXPECT_NE(help.find("one of a | b"), std::string::npos);
+    EXPECT_NE(help.find("only on shared"), std::string::npos);
+}
+
+/** Sets (or, with nullptr, unsets) @p var for one scope. */
+class ScopedEnv
+{
+  public:
+    ScopedEnv(const char *var, const char *value) : var_(var)
+    {
+        if (const char *old = std::getenv(var))
+            old_ = old;
+        hadOld_ = std::getenv(var) != nullptr;
+        if (value != nullptr)
+            ::setenv(var, value, 1);
+        else
+            ::unsetenv(var);
+    }
+    ~ScopedEnv()
+    {
+        if (hadOld_)
+            ::setenv(var_, old_.c_str(), 1);
+        else
+            ::unsetenv(var_);
+    }
+
+  private:
+    const char *var_;
+    std::string old_;
+    bool hadOld_ = false;
+};
+
+TEST(EnvFlags, UnsetOrEmptyMeansTheDefault)
+{
+    for (Env var : {Env::NumThreads, Env::Simd, Env::Machine,
+                    Env::OffloadPolicy}) {
+        const Flag &row = envFlag(var);
+        {
+            ScopedEnv unset(row.env.c_str(), nullptr);
+            EXPECT_EQ(envValue(row), row.def) << row.env;
+        }
+        ScopedEnv empty(row.env.c_str(), "");
+        EXPECT_EQ(envValue(row), row.def) << row.env;
+    }
+    ScopedEnv simd("MEALIB_SIMD", "scalar");
+    EXPECT_EQ(envValue(envFlag(Env::Simd)), "scalar");
+}
+
+TEST(EnvFlags, BadValueIsInvalidArgument)
+{
+    const std::pair<Env, const char *> bad[] = {
+        {Env::NumThreads, "abc"},    {Env::NumThreads, "0"},
+        {Env::NumThreads, "100000"}, {Env::NumThreads, "4x"},
+        {Env::Simd, "bogus"},        {Env::Machine, "foo"},
+        {Env::OffloadPolicy, "gpu"},
+    };
+    for (const auto &[var, value] : bad) {
+        const Flag &row = envFlag(var);
+        ScopedEnv set(row.env.c_str(), value);
+        try {
+            envValue(row);
+            ADD_FAILURE() << row.env << "=" << value << " accepted";
+        } catch (const MealibError &e) {
+            EXPECT_EQ(e.code(), ErrorCode::InvalidArgument);
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find(row.env), std::string::npos) << msg;
+            EXPECT_NE(msg.find(value), std::string::npos) << msg;
+        }
+    }
+    // The pool bound: kMaxWorkers workers plus the calling thread.
+    ScopedEnv most("MEALIB_NUM_THREADS", "64");
+    EXPECT_EQ(envValue(envFlag(Env::NumThreads)), "64");
+    ScopedEnv over("MEALIB_NUM_THREADS", "65");
+    EXPECT_THROW(KernelTuning::fromEnv(), MealibError);
+}
+
+TEST(EnvFlags, EveryParseChecksTheEnvironment)
+{
+    TestTable t;
+    ScopedEnv bad("MEALIB_SIMD", "bogus");
+    expectRejected(t, {});
 }
 
 TEST(Units, EnergyAndPowerLiterals)

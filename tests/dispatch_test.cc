@@ -3,12 +3,14 @@
 // runtime-backed accelerator backend, and the bit-for-bit guarantee of
 // host-side execution through the dispatcher.
 
+#include <cstdlib>
 #include <cstring>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/cli.hh"
 #include "common/rng.hh"
 #include "common/status.hh"
 #include "dispatch/backend.hh"
@@ -123,6 +125,33 @@ TEST(Policy, MakePolicyParsesNames)
     EXPECT_STREQ(makePolicy("crossover")->name(), "crossover");
     EXPECT_EQ(makePolicy("gpu"), nullptr);
     EXPECT_EQ(makePolicy(""), nullptr);
+}
+
+TEST(Policy, PolicyFromEnvAcceptsOnlyKnownNames)
+{
+    // CI runs this binary under every MEALIB_OFFLOAD_POLICY; restore it.
+    const char *old = std::getenv("MEALIB_OFFLOAD_POLICY");
+    const std::string saved = old != nullptr ? old : "";
+    ::unsetenv("MEALIB_OFFLOAD_POLICY");
+    EXPECT_STREQ(policyFromEnv()->name(), "host");
+    ::setenv("MEALIB_OFFLOAD_POLICY", "", 1);
+    EXPECT_STREQ(policyFromEnv()->name(), "host");
+    for (const std::string &name : envFlag(Env::OffloadPolicy).choices) {
+        ::setenv("MEALIB_OFFLOAD_POLICY", name.c_str(), 1);
+        EXPECT_STREQ(policyFromEnv()->name(), name.c_str());
+    }
+    ::setenv("MEALIB_OFFLOAD_POLICY", "gpu", 1);
+    try {
+        policyFromEnv();
+        ADD_FAILURE() << "MEALIB_OFFLOAD_POLICY=gpu accepted";
+    } catch (const MealibError &e) {
+        EXPECT_EQ(e.code(), ErrorCode::InvalidArgument);
+        EXPECT_NE(std::string(e.what()).find("gpu"), std::string::npos);
+    }
+    if (old != nullptr)
+        ::setenv("MEALIB_OFFLOAD_POLICY", saved.c_str(), 1);
+    else
+        ::unsetenv("MEALIB_OFFLOAD_POLICY");
 }
 
 /**

@@ -10,10 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "accel/config.hh"
 #include "accel/model.hh"
+#include "common/cli.hh"
 #include "common/logging.hh"
 #include "dispatch/models.hh"
 #include "dispatch/opdesc.hh"
@@ -47,6 +49,18 @@ TEST(Registry, SameNameReturnsSameObject)
     EXPECT_EQ(&hwmodel::profile("haswell"),
               &hwmodel::profile("haswell4770k"));
     EXPECT_NE(&hwmodel::profile("haswell"), &hwmodel::profile("phi"));
+}
+
+TEST(Registry, EveryMachineTheEnvironmentAcceptsIsKnown)
+{
+    // MEALIB_MACHINE and --machine accept exactly the registry's names.
+    for (const std::string &name : envFlag(Env::Machine).choices)
+        EXPECT_TRUE(hwmodel::knownMachine(name)) << name;
+    for (const std::string &name : hwmodel::profileNames())
+        EXPECT_NE(std::count(envFlag(Env::Machine).choices.begin(),
+                             envFlag(Env::Machine).choices.end(), name),
+                  0)
+            << name;
 }
 
 TEST(Registry, ActiveMachineDefaultsToHaswell)

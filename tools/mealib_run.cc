@@ -2,19 +2,11 @@
  * @file
  * mealib-run: execute a TDL program on the simulated MEALib system.
  *
- * Usage:
- *   mealib-run <program.tdl> [--params=<dir>] [--bind k=v ...]
- *              [--cost-only] [--arena-mib=N] [--verbose]
- *              [--stacks=N] [--queue-depth=N] [--scheduler=P]
- *              [--repeat=N] [--fault-seed=S] [--fault-rate=R]
- *              [--silent-rate=R] [--fail-stack=S[@N]]
- *              [--watchdog-us=T] [--max-retries=K] [--integrity]
- *              [--checkpoint-interval=K] [--quarantine-threshold=T]
- *              [--quarantine-window=N] [--quarantine-probation=N]
- *              [--quarantine-canaries=N] [--quarantine-strikes=N]
- *              [--offload-policy=P] [--dispatch-json=PATH]
- *              [--machine=M] [--energy-json=PATH] [--help]
- *   mealib-run --clients=N [--app=stap|sar|cg|mix] [options]
+ *   mealib-run <program.tdl> [options]
+ *   mealib-run --clients=N [options]
+ *
+ * `--help` lists every flag; each one is declared once, in the table
+ * below, with its type, default, range and the runs that read it.
  *
  * Exit codes: 0 on success, 1 on an internal error, 2 on a usage /
  * configuration error, 3 when a submitted command reached an
@@ -22,73 +14,10 @@
  * is structured as `mealib-run: command failed: state=<s> code=<c>
  * message=<m>` so harnesses can parse it.
  *
- * Parameter files referenced by COMP blocks are loaded from --params
- * (default: the TDL file's directory). `$symbol` placeholders are
- * resolved from --bind options (`--bind=x=4096`, repeatable via comma
- * separation: `--bind=x=4096,y=8192`).
- *
- * With --cost-only the functional kernels are skipped and only the
- * time/energy model runs (buffers need not exist), which allows
- * paper-scale address ranges.
- *
- * --stacks, --queue-depth and --scheduler (round_robin | locality)
- * configure the asynchronous command-queue engine; --repeat=N submits
- * the compiled program N times through accSubmit() before waiting, and
- * the summary reports the overlap-aware makespan next to the serial
- * total.
- *
- * Fault injection (docs/FAULTS.md): --fault-rate=R arms every transient
- * source (corrected/uncorrectable ECC, link CRC, command hang, compute
- * fault) at a per-attempt probability R, rolled deterministically from
- * --fault-seed (which must be non-negative). --silent-rate=R
- * additionally arms silent data corruption — only end-to-end
- * verification (--integrity) can catch it. --fail-stack=S kills stack
- * S before the first command (S@N: before global command N).
- * --watchdog-us bounds a hung command; --max-retries bounds the retry
- * ladder before host fallback. The summary then adds a degraded-mode
- * line (retries, fallbacks, watchdog fires, corrected ECC events).
- *
- * Resilience layers (docs/FAULTS.md): --integrity prices per-transfer
- * operand checksums (and catches injected silent corruption);
- * --checkpoint-interval=K journals a snapshot every K expanded COMPs of
- * rerun-safe programs, so retries and stack-death drains resume from
- * the last committed checkpoint instead of re-running from scratch.
- * --quarantine-threshold=T arms the stack health monitor: a stack whose
- * sliding-window fault score reaches T is quarantined, re-admitted
- * through a canary probation (--quarantine-window/-probation/-canaries
- * configure the window and cooldown), and permanently failed after
- * --quarantine-strikes failed probations (0 = never).
- *
- * --offload-policy=P (host | accel | crossover | calibrated) routes
- * every COMP of the program through the op-IR dispatcher
- * (docs/DISPATCH.md) instead of executing the plan wholesale: the
- * policy decides per call whether the functional result is produced by
- * a host-priced execution or an accelerator submission, and the summary
- * gains a dispatch line. --dispatch-json=PATH writes the per-kind
- * telemetry (calls, decisions, fallbacks, bytes) as JSON; it implies
- * the dispatcher with the host policy when --offload-policy is absent.
- * Without either flag the legacy wholesale path runs untouched.
- *
- * --clients=N (docs/SESSIONS.md) switches to the multi-tenant driver:
- * no TDL program is read; instead N client threads each open a
- * mealib::Session over ONE shared runtime, bind it to their thread and
- * run --app (stap | sar | cg, or the default mix that round-robins all
- * three). Every client's functional output is digested (FNV-1a) and
- * verified against a solo run of the same application on a private
- * runtime — multi-tenancy must not change anyone's numbers — and the
- * per-session energy ledgers are summed against the shared runtime's
- * aggregate accounting. Any digest mismatch or ledger-sum divergence
- * exits 1. Both runs build their RuntimeConfig from the same flags and
- * defaults; a flag that does nothing on the chosen run (--repeat,
- * --bind, --params, --dispatch-json, --cost-only with --clients;
- * --app without it) or that mealib-run does not know exits 2.
- *
- * --machine=M selects the hardware-model profile every layer prices
- * against (haswell4770k | xeonphi5110p, aliases haswell | phi); it
- * overrides the MEALIB_MACHINE environment variable and defaults to
- * haswell4770k. --energy-json=PATH writes the runtime's energy ledger
- * (per-track costs, component attribution, EDP, GFLOPS/W; schema in
- * docs/MODEL.md) after the run.
+ * The flags' narrative lives in docs/FAULTS.md (fault injection and
+ * resilience), docs/DISPATCH.md (--offload-policy, --dispatch-json),
+ * docs/RUNTIME.md (--residency, --fusion-window), docs/SESSIONS.md
+ * (--clients, --app) and docs/MODEL.md (--machine, --energy-json).
  */
 
 #include <cmath>
@@ -96,7 +25,6 @@
 #include <fstream>
 #include <map>
 #include <memory>
-#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -123,86 +51,126 @@ using namespace mealib;
 
 namespace {
 
-void
-printHelp(const std::string &program)
+/** The runs mealib-run can make; bit i of a ModeSet is mode i. */
+enum : ModeSet
 {
-    std::printf(
-        "usage: %s <program.tdl> [options]\n"
-        "\n"
-        "Execute a TDL program on the simulated MEALib system.\n"
-        "\n"
-        "general:\n"
-        "  --params=DIR           parameter-file directory (default:\n"
-        "                         the TDL file's directory)\n"
-        "  --bind=k=v,...         bind $symbol placeholders\n"
-        "  --cost-only            skip functional kernels, model only\n"
-        "  --arena-mib=N          backing arena size (default 64)\n"
-        "  --machine=M            haswell4770k | xeonphi5110p\n"
-        "  --verbose              verbose logging\n"
-        "  --help                 this text\n"
-        "\n"
-        "command-queue engine:\n"
-        "  --stacks=N             memory stacks (default 1)\n"
-        "  --queue-depth=N        per-stack queue depth (default 8)\n"
-        "  --scheduler=P          round_robin | locality\n"
-        "  --repeat=N             submit the program N times\n"
-        "\n"
-        "fault injection (docs/FAULTS.md):\n"
-        "  --fault-seed=S         injection seed (non-negative)\n"
-        "  --fault-rate=R         per-attempt probability, in [0,1],\n"
-        "                         armed for every transient source\n"
-        "  --silent-rate=R        silent-corruption probability; only\n"
-        "                         --integrity can catch these\n"
-        "  --fail-stack=S[@N]     kill stack S (before command N)\n"
-        "  --watchdog-us=T        hung-command watchdog (default 100)\n"
-        "  --max-retries=K        retry budget (default 3)\n"
-        "  --no-host-fallback     exhausted commands terminate\n"
-        "                         TIMED_OUT / FAILED (exit 3) instead\n"
-        "                         of re-running on the host\n"
-        "\n"
-        "resilience (docs/FAULTS.md):\n"
-        "  --integrity            per-transfer operand checksums\n"
-        "  --checkpoint-interval=K  journal a snapshot every K\n"
-        "                         expanded COMPs (0 = off)\n"
-        "  --quarantine-threshold=T  fault score arming quarantine,\n"
-        "                         in (0,1] (0 = off)\n"
-        "  --quarantine-window=N  sliding window, commands (16)\n"
-        "  --quarantine-probation=N  cooldown before probation (32)\n"
-        "  --quarantine-canaries=N   clean canaries to re-admit (2)\n"
-        "  --quarantine-strikes=N    probation failures before the\n"
-        "                         stack dies for good (0 = never)\n"
-        "\n"
-        "multi-tenant (docs/SESSIONS.md):\n"
-        "  --clients=N            N client threads, one session each,\n"
-        "                         against ONE shared runtime (no TDL\n"
-        "                         file); outputs verified against solo\n"
-        "                         digests, session ledgers summed\n"
-        "                         against the aggregate accounting;\n"
-        "                         every runtime, fault, resilience,\n"
-        "                         reuse and dispatch-policy flag\n"
-        "                         applies, --repeat/--bind/--params/\n"
-        "                         --dispatch-json/--cost-only exit 2\n"
-        "  --app=A                stap | sar | cg | mix (default mix)\n"
-        "\n"
-        "dispatch & output:\n"
-        "  --offload-policy=P     host | accel | crossover | calibrated\n"
-        "  --dispatch-json=PATH   per-kind dispatch telemetry\n"
-        "  --energy-json=PATH     energy-ledger JSON\n"
-        "\n"
-        "reuse (docs/RUNTIME.md):\n"
-        "  --residency            track cross-command operand residency\n"
-        "                         and elide redundant flush/verify work\n"
-        "  --fusion-window=N      fuse up to N adjacent same-stack\n"
-        "                         dispatched calls into one descriptor\n"
-        "                         program (default 1 = off); a TDL run\n"
-        "                         needs --offload-policy or\n"
-        "                         --dispatch-json\n"
-        "\n"
-        "exit codes: 0 success, 1 internal error, 2 usage/config\n"
-        "error (incl. an unknown flag, or one that does nothing on the\n"
-        "chosen run), 3 unrecoverable command (structured stderr).\n",
-        program.c_str());
-}
+    kTdlRun = 1,        //!< a TDL program executed as one plan
+    kDispatchedRun = 2, //!< a TDL program, per COMP through the dispatcher
+    kClientRun = 4,     //!< the --clients multi-tenant driver
+    kTdlRuns = kTdlRun | kDispatchedRun,
+    kDispatching = kDispatchedRun | kClientRun,
+};
+
+constexpr FlagType kBool = FlagType::Bool, kInt = FlagType::Int,
+                   kReal = FlagType::Real, kText = FlagType::String;
+constexpr double kU32 = 4294967295.0;
+
+FlagTable table(
+    "Execute a TDL program on the simulated MEALib system, or with\n"
+    "--clients run N client sessions against one shared runtime. A TDL\n"
+    "run with --offload-policy or --dispatch-json is dispatched.\n"
+    "Exit codes: 0 success, 1 internal error, 2 usage/config error,\n"
+    "3 unrecoverable command (structured stderr).",
+    "<program.tdl> [options] | --clients=N [options]", 1,
+    {"plain TDL runs", "dispatched TDL runs", "--clients runs"});
+
+// general
+const Flag &kParams = table.add(
+    Flag{"params", kText, "", "parameter-file dir (default: the TDL's)"}
+        .in(kTdlRuns));
+const Flag &kBind = table.add(
+    Flag{"bind", kText, "", "bind $symbol placeholders: k=v,..."}.in(
+        kTdlRuns));
+const Flag &kCostOnly = table.add(
+    Flag{"cost-only", kBool, "", "skip functional kernels, model only"}.in(
+        kTdlRuns));
+const Flag &kArenaMib =
+    table.add({"arena-mib", kInt, "64", "backing arena, MiB", 1, 65536});
+const Flag &kMachine = table.add(
+    envBackedFlag("machine", Env::Machine, "hardware-model profile"));
+const Flag &kVerbose = table.add({"verbose", kBool, "", "verbose logging"});
+
+// command-queue engine
+const Flag &kStacks =
+    table.add({"stacks", kInt, "1", "memory stacks", 1, 1024});
+const Flag &kQueueDepth =
+    table.add({"queue-depth", kInt, "8", "per-stack queue depth", 1, kU32});
+const Flag &kScheduler =
+    table.add({"scheduler", FlagType::Choice, "locality",
+               "stack-placement policy", 0, 0,
+               {"round_robin", "rr", "locality"}});
+const Flag &kRepeat = table.add(
+    Flag{"repeat", kInt, "1", "submit the program N times", 1, 1 << 20}.in(
+        kTdlRuns));
+
+// fault injection (docs/FAULTS.md)
+const Flag &kFaultSeed = table.add(
+    {"fault-seed", kInt, "0", "fault-injection seed", 0, HUGE_VAL});
+const Flag &kFaultRate = table.add(
+    {"fault-rate", kReal, "0", "probability of each transient fault", 0, 1});
+const Flag &kSilentRate =
+    table.add({"silent-rate", kReal, "0",
+               "silent-corruption probability (see --integrity)", 0, 1});
+const Flag &kFailStack = table.add(
+    {"fail-stack", kText, "", "kill stack S before command N: S[@N]"});
+const Flag &kWatchdogUs = table.add(
+    {"watchdog-us", kReal, "100", "hung-command watchdog, us", 0, HUGE_VAL});
+const Flag &kMaxRetries = table.add(
+    {"max-retries", kInt, "3", "retries before host fallback", 0, kU32});
+const Flag &kNoHostFallback =
+    table.add({"no-host-fallback", kBool, "",
+               "exhausted commands fail (exit 3), no host re-run"});
+
+// resilience (docs/FAULTS.md)
+const Flag &kIntegrity = table.add(
+    {"integrity", kBool, "", "per-transfer operand checksums"});
+const Flag &kCheckpointInterval =
+    table.add({"checkpoint-interval", kInt, "0",
+               "snapshot every K expanded COMPs (0 = off)", 0, kU32});
+const Flag &kQuarantineThreshold =
+    table.add({"quarantine-threshold", kReal, "0",
+               "fault score that quarantines a stack (0 = off)", 0, 1});
+const Flag &kQuarantineWindow = table.add(
+    {"quarantine-window", kInt, "16", "sliding window, commands", 0, kU32});
+const Flag &kQuarantineProbation =
+    table.add({"quarantine-probation", kInt, "32",
+               "cooldown commands before probation", 0, kU32});
+const Flag &kQuarantineCanaries =
+    table.add({"quarantine-canaries", kInt, "2",
+               "clean canaries that re-admit a stack", 0, kU32});
+const Flag &kQuarantineStrikes =
+    table.add({"quarantine-strikes", kInt, "0",
+               "failed probations until the stack dies (0 = never)", 0,
+               kU32});
+
+// multi-tenant (docs/SESSIONS.md)
+const Flag &kClients = table.add(
+    Flag{"clients", kInt, "1", "client sessions on one shared runtime", 1,
+         64}
+        .in(kClientRun));
+const Flag &kApp = table.add(
+    Flag{"app", FlagType::Choice, "mix", "each client's application", 0, 0,
+         {"stap", "sar", "cg", "mix"}}
+        .in(kClientRun));
+
+// dispatch & output
+const Flag &kOffloadPolicy = table.add(
+    envBackedFlag("offload-policy", Env::OffloadPolicy,
+                  "dispatch policy (a TDL run defaults to host)")
+        .in(kDispatching));
+const Flag &kDispatchJson = table.add(
+    Flag{"dispatch-json", kText, "", "per-kind dispatch telemetry"}.in(
+        kDispatchedRun));
+const Flag &kEnergyJson =
+    table.add({"energy-json", kText, "", "energy-ledger JSON path"});
+
+// reuse (docs/RUNTIME.md)
+const Flag &kResidency = table.add(
+    {"residency", kBool, "", "track residency, elide redundant flushes"});
+const Flag &kFusionWindow = table.add(
+    Flag{"fusion-window", kInt, "1",
+         "fuse up to N adjacent dispatched calls (1 = off)", 1, kU32}
+        .in(kDispatching));
 
 std::string
 readFile(const std::string &path)
@@ -230,14 +198,16 @@ parseBindings(const std::string &spec)
     while (std::getline(ss, part, ',')) {
         if (part.empty())
             continue;
-        auto eq = part.find('=');
-        fatalIf(eq == std::string::npos, "--bind entry '", part,
-                "' is not k=v");
+        const auto eq = part.find('=');
+        const char *digits =
+            eq == std::string::npos ? "" : part.c_str() + eq + 1;
         char *end = nullptr;
-        std::uint64_t v =
-            std::strtoull(part.c_str() + eq + 1, &end, 0);
-        fatalIf(end == nullptr || *end != '\0', "--bind value in '",
-                part, "' is not a number");
+        const std::uint64_t v = std::strtoull(digits, &end, 0);
+        if (*digits == '\0' || *end != '\0')
+            throw MealibError(Status::error(
+                ErrorCode::InvalidArgument,
+                "--bind expects k=v entries with numeric v, got '" + part +
+                    "'"));
         out[part.substr(0, eq)] = v;
     }
     return out;
@@ -310,9 +280,7 @@ runClientApp(const std::string &app, runtime::MealibRuntime &rt)
         apps::CgResult r = apps::solveCgMealib(a, b, rt, opts);
         return fnv1a(r.x.data(), r.x.size() * sizeof(float));
     }
-    throw MealibError(
-        Status::error(ErrorCode::InvalidArgument,
-                      "--app '" + app + "' is not stap|sar|cg|mix"));
+    panic("unknown client app '", app, "'");
 }
 
 /**
@@ -322,7 +290,7 @@ runClientApp(const std::string &app, runtime::MealibRuntime &rt)
  * the shared runtime's aggregate accounting (exact attribution).
  */
 int
-runClients(const Cli &cli, const runtime::RuntimeConfig &cfg,
+runClients(const std::string &program, const runtime::RuntimeConfig &cfg,
            unsigned clients, const std::string &appSpec,
            const SessionOptions &sopts,
            const std::string &energyJsonPath)
@@ -401,7 +369,7 @@ runClients(const Cli &cli, const runtime::RuntimeConfig &cfg,
     if (rc != 0)
         std::fprintf(stderr, "%s: multi-tenant isolation check "
                              "failed\n",
-                     cli.program().c_str());
+                     program.c_str());
     return rc;
 }
 
@@ -412,10 +380,7 @@ runDispatched(runtime::MealibRuntime &rt,
               const std::string &policyName, const std::string &jsonPath,
               const std::string &energyJsonPath, unsigned fusionWindow)
 {
-    auto policy = dispatch::makePolicy(policyName);
-    fatalIf(policy == nullptr, "--offload-policy '", policyName,
-            "' is not host|accel|crossover|calibrated");
-    dispatch::Dispatcher disp(std::move(policy));
+    dispatch::Dispatcher disp(dispatch::makePolicy(policyName));
     auto costs = std::make_shared<dispatch::RooflineCostModel>();
     costs->setFusionWindow(fusionWindow);
     disp.setCostModel(costs);
@@ -531,142 +496,78 @@ runDispatched(runtime::MealibRuntime &rt,
     return 0;
 }
 
-/** Flags only a TDL program run reads. */
-const std::set<std::string> kProgramFlags = {
-    "params", "bind", "cost-only", "repeat", "dispatch-json"};
-
-/** Flags only the --clients driver reads. */
-const std::set<std::string> kClientFlags = {"clients", "app"};
-
-/** Flags both runs read. */
-const std::set<std::string> kSharedFlags = {
-    "help", "verbose", "machine", "arena-mib", "stacks", "queue-depth",
-    "scheduler", "fault-seed", "fault-rate", "silent-rate", "fail-stack",
-    "watchdog-us", "max-retries", "no-host-fallback", "integrity",
-    "checkpoint-interval", "quarantine-threshold", "quarantine-window",
-    "quarantine-probation", "quarantine-canaries", "quarantine-strikes",
-    "residency", "fusion-window", "offload-policy", "energy-json"};
-
-/** InvalidArgument naming the first flag that is unknown or does
- * nothing on the chosen run (a knob must take effect or be rejected). */
-Status
-checkFlags(const Cli &cli, bool clients)
+/** Stack S and command N of --fail-stack=S[@N]; digits only. */
+void
+parseFailStack(const std::string &spec, fault::FaultConfig &fault)
 {
-    auto invalid = [](const std::string &msg) {
-        return Status::error(ErrorCode::InvalidArgument, msg);
+    auto number = [&spec](const std::string &part) {
+        if (part.empty() ||
+            part.find_first_not_of("0123456789") != std::string::npos ||
+            part.size() > 9)
+            throw MealibError(Status::error(
+                ErrorCode::InvalidArgument,
+                "--fail-stack expects S or S@N (non-negative integers), "
+                "got '" + spec + "'"));
+        return std::stoull(part);
     };
-    if (clients && !cli.positional().empty())
-        return invalid("a TDL program does nothing with --clients");
-    for (const auto &[flag, value] : cli.options()) {
-        const bool program = kProgramFlags.count(flag) != 0;
-        const bool client = kClientFlags.count(flag) != 0;
-        if (!program && !client && kSharedFlags.count(flag) == 0)
-            return invalid("unknown flag --" + flag + "; see --help");
-        if (clients && program)
-            return invalid("--" + flag + " does nothing with --clients");
-        if (!clients && client)
-            return invalid("--" + flag + " needs --clients");
-    }
-    // Only dispatched calls fuse: a plain TDL run submits the whole
-    // program as one plan.
-    if (!clients && cli.has("fusion-window") &&
-        cli.get("offload-policy", "").empty() &&
-        cli.get("dispatch-json", "").empty())
-        return invalid("--fusion-window needs --offload-policy or "
-                       "--dispatch-json");
-    return Status();
+    const auto at = spec.find('@');
+    fault.failStack = static_cast<unsigned>(number(spec.substr(0, at)));
+    if (at != std::string::npos)
+        fault.failStackAfter = number(spec.substr(at + 1));
 }
 
 /**
- * The runtime configuration of both runs, from the flags and the
- * defaults --help documents. Selects --machine first: RuntimeConfig's
- * defaults come from the active machine profile.
+ * The runtime configuration of both runs, from the flag table. Selects
+ * --machine first: RuntimeConfig's defaults come from the active
+ * machine profile.
  */
 runtime::RuntimeConfig
-buildConfig(const Cli &cli)
+buildConfig(const Flags &flags)
 {
-    auto invalid = [](const std::string &msg) {
-        return MealibError(
-            Status::error(ErrorCode::InvalidArgument, msg));
-    };
-    const std::string machine = cli.get("machine", "");
-    if (!machine.empty())
-        hwmodel::setActiveMachine(machine).orThrow();
+    if (flags.given(kMachine))
+        hwmodel::setActiveMachine(flags.text(kMachine)).orThrow();
 
     runtime::RuntimeConfig cfg;
-    cfg.functional = !cli.has("cost-only");
-    cfg.backingBytes = static_cast<std::uint64_t>(
-                           cli.getInt("arena-mib", 64))
+    cfg.functional = !flags.on(kCostOnly);
+    cfg.backingBytes = static_cast<std::uint64_t>(flags.integer(kArenaMib))
                        << 20;
-    cfg.numStacks = static_cast<unsigned>(cli.getInt("stacks", 1));
-    cfg.queueDepth = static_cast<unsigned>(cli.getInt("queue-depth", 8));
-    const std::string sched = cli.get("scheduler", "locality");
-    if (sched != "round_robin" && sched != "rr" && sched != "locality")
-        throw invalid("unknown scheduler policy '" + sched +
-                      "' (expected 'round_robin' or 'locality')");
-    cfg.scheduler = runtime::schedulerPolicy(sched);
+    cfg.numStacks = static_cast<unsigned>(flags.integer(kStacks));
+    cfg.queueDepth = static_cast<unsigned>(flags.integer(kQueueDepth));
+    cfg.scheduler = runtime::schedulerPolicy(flags.text(kScheduler));
 
     // --- fault injection (docs/FAULTS.md) ------------------------------
-    const std::int64_t seed = cli.getInt("fault-seed", 0);
-    if (seed < 0)
-        throw invalid("--fault-seed must be non-negative (got " +
-                      std::to_string(seed) + ")");
-    cfg.fault.seed = static_cast<std::uint64_t>(seed);
-    const double rate = cli.getDouble("fault-rate", 0.0);
+    cfg.fault.seed = static_cast<std::uint64_t>(flags.integer(kFaultSeed));
+    const double rate = flags.real(kFaultRate);
     cfg.fault.eccCorrectableRate = rate;
     cfg.fault.eccUncorrectableRate = rate;
     cfg.fault.linkCrcRate = rate;
     cfg.fault.hangRate = rate;
     cfg.fault.computeTransientRate = rate;
-    cfg.fault.silentCorruptionRate = cli.getDouble("silent-rate", 0.0);
-    const std::string fail_spec = cli.get("fail-stack", "");
-    if (!fail_spec.empty()) {
-        auto at = fail_spec.find('@');
-        cfg.fault.failStack = static_cast<unsigned>(
-            std::strtoul(fail_spec.c_str(), nullptr, 0));
-        if (at != std::string::npos)
-            cfg.fault.failStackAfter =
-                std::strtoull(fail_spec.c_str() + at + 1, nullptr, 0);
-    }
-    cfg.watchdogSeconds =
-        cli.getDouble("watchdog-us", cfg.watchdogSeconds * 1e6) * 1e-6;
-    cfg.retry.maxRetries = static_cast<unsigned>(
-        cli.getInt("max-retries", cfg.retry.maxRetries));
-    if (cli.has("no-host-fallback"))
-        cfg.retry.hostFallback = false;
+    cfg.fault.silentCorruptionRate = flags.real(kSilentRate);
+    if (flags.given(kFailStack))
+        parseFailStack(flags.text(kFailStack), cfg.fault);
+    cfg.watchdogSeconds = flags.real(kWatchdogUs) * 1e-6;
+    cfg.retry.maxRetries =
+        static_cast<unsigned>(flags.integer(kMaxRetries));
+    cfg.retry.hostFallback = !flags.on(kNoHostFallback);
 
     // --- integrity / checkpoint / health (docs/FAULTS.md) --------------
-    cfg.integrity.verifyTransfers = cli.has("integrity");
+    cfg.integrity.verifyTransfers = flags.on(kIntegrity);
     cfg.checkpoint.intervalComps =
-        static_cast<unsigned>(cli.getInt("checkpoint-interval", 0));
-    cfg.health.quarantineThreshold =
-        cli.getDouble("quarantine-threshold", 0.0);
-    cfg.health.windowCommands = static_cast<unsigned>(
-        cli.getInt("quarantine-window", cfg.health.windowCommands));
-    cfg.health.probationAfterCommands = static_cast<unsigned>(cli.getInt(
-        "quarantine-probation", cfg.health.probationAfterCommands));
-    cfg.health.canaryCommands = static_cast<unsigned>(
-        cli.getInt("quarantine-canaries", cfg.health.canaryCommands));
-    cfg.health.maxStrikes = static_cast<unsigned>(
-        cli.getInt("quarantine-strikes", cfg.health.maxStrikes));
+        static_cast<unsigned>(flags.integer(kCheckpointInterval));
+    cfg.health.quarantineThreshold = flags.real(kQuarantineThreshold);
+    cfg.health.windowCommands =
+        static_cast<unsigned>(flags.integer(kQuarantineWindow));
+    cfg.health.probationAfterCommands =
+        static_cast<unsigned>(flags.integer(kQuarantineProbation));
+    cfg.health.canaryCommands =
+        static_cast<unsigned>(flags.integer(kQuarantineCanaries));
+    cfg.health.maxStrikes =
+        static_cast<unsigned>(flags.integer(kQuarantineStrikes));
 
     // --- residency (docs/RUNTIME.md) -----------------------------------
-    if (cli.has("residency"))
-        cfg.residency.enabled = true;
+    cfg.residency.enabled = flags.on(kResidency);
     return cfg;
-}
-
-/** --fusion-window (default 1); at least 1. */
-unsigned
-fusionWindow(const Cli &cli)
-{
-    const std::int64_t w = cli.getInt("fusion-window", 1);
-    if (w < 1) {
-        throw MealibError(
-            Status::error(ErrorCode::InvalidArgument,
-                          "--fusion-window must be at least 1"));
-    }
-    return static_cast<unsigned>(w);
 }
 
 } // namespace
@@ -674,50 +575,47 @@ fusionWindow(const Cli &cli)
 int
 main(int argc, char **argv)
 {
-    Cli cli(argc, argv);
-    if (cli.has("help")) {
-        printHelp(cli.program());
-        return 0;
-    }
-    if (cli.positional().empty() && !cli.has("clients")) {
+    const Flags flags = table.parseOrExit(argc, argv, [](const Flags &f) {
+        return f.given(kClients) ? kClientRun
+               : f.given(kOffloadPolicy) || f.given(kDispatchJson)
+                   ? kDispatchedRun
+                   : kTdlRun;
+    });
+    const bool clients = flags.given(kClients);
+    if (flags.positional().empty() && !clients) {
         std::fprintf(stderr,
                      "usage: %s <program.tdl> [options]; see --help\n",
-                     cli.program().c_str());
+                     flags.program().c_str());
         return 2;
     }
-    setVerbose(cli.has("verbose"));
+    setVerbose(flags.on(kVerbose));
 
     try {
-        const bool clients = cli.has("clients");
-        checkFlags(cli, clients).orThrow();
+        if (clients && !flags.positional().empty())
+            throw MealibError(
+                Status::error(ErrorCode::InvalidArgument,
+                              "a TDL program does nothing with --clients"));
 
         // --- multi-tenant driver (docs/SESSIONS.md) --------------------
         if (clients) {
-            const std::int64_t n = cli.getInt("clients", 0);
-            if (n < 1) {
-                throw MealibError(
-                    Status::error(ErrorCode::InvalidArgument,
-                                  "--clients must be at least 1"));
-            }
-            const runtime::RuntimeConfig cfg = buildConfig(cli);
+            const runtime::RuntimeConfig cfg = buildConfig(flags);
             SessionOptions sopts;
-            sopts.policy = cli.get("offload-policy", "");
-            if (!sopts.policy.empty() &&
-                dispatch::makePolicy(sopts.policy) == nullptr)
-                throw MealibError(Status::error(
-                    ErrorCode::InvalidArgument,
-                    "--offload-policy '" + sopts.policy +
-                        "' is not host|accel|crossover|calibrated"));
-            sopts.fusionWindow = fusionWindow(cli);
-            return runClients(cli, cfg, static_cast<unsigned>(n),
-                              cli.get("app", "mix"), sopts,
-                              cli.get("energy-json", ""));
+            // Absent, each session resolves MEALIB_OFFLOAD_POLICY.
+            if (flags.given(kOffloadPolicy))
+                sopts.policy = flags.text(kOffloadPolicy);
+            sopts.fusionWindow =
+                static_cast<unsigned>(flags.integer(kFusionWindow));
+            return runClients(flags.program(), cfg,
+                              static_cast<unsigned>(flags.integer(kClients)),
+                              flags.text(kApp), sopts,
+                              flags.text(kEnergyJson));
         }
 
-        const std::string tdl_path = cli.positional()[0];
-        const std::string params_dir =
-            cli.get("params", dirName(tdl_path));
-        auto binds = parseBindings(cli.get("bind", ""));
+        const std::string tdl_path = flags.positional()[0];
+        const std::string params_dir = flags.given(kParams)
+                                           ? flags.text(kParams)
+                                           : dirName(tdl_path);
+        auto binds = parseBindings(flags.text(kBind));
 
         std::string tdl = s2s::bindParams(readFile(tdl_path), binds);
         auto resolve = [&](const std::string &name) {
@@ -726,27 +624,15 @@ main(int argc, char **argv)
         };
         accel::DescriptorProgram prog = tdl::compileTdl(tdl, resolve);
 
-        const runtime::RuntimeConfig cfg = buildConfig(cli);
-        const unsigned fusion_window = fusionWindow(cli);
-
+        const runtime::RuntimeConfig cfg = buildConfig(flags);
         runtime::MealibRuntime rt(cfg);
-
-        const std::uint64_t repeat = static_cast<std::uint64_t>(
-            cli.getInt("repeat", 1));
-        if (repeat == 0) {
-            throw MealibError(
-                Status::error(ErrorCode::InvalidArgument,
-                              "--repeat must be at least 1"));
-        }
-
-        const std::string policy_name = cli.get("offload-policy", "");
-        const std::string dispatch_json = cli.get("dispatch-json", "");
-        const std::string energy_json = cli.get("energy-json", "");
-        if (!policy_name.empty() || !dispatch_json.empty())
+        const auto repeat = static_cast<std::uint64_t>(flags.integer(kRepeat));
+        const std::string energy_json = flags.text(kEnergyJson);
+        if (flags.given(kOffloadPolicy) || flags.given(kDispatchJson))
             return runDispatched(
-                rt, cfg, prog, repeat,
-                policy_name.empty() ? "host" : policy_name,
-                dispatch_json, energy_json, fusion_window);
+                rt, cfg, prog, repeat, flags.text(kOffloadPolicy),
+                flags.text(kDispatchJson), energy_json,
+                static_cast<unsigned>(flags.integer(kFusionWindow)));
 
         runtime::AccPlanHandle plan = rt.accPlan(prog);
         std::vector<runtime::Event> events;
@@ -783,7 +669,7 @@ main(int argc, char **argv)
             std::fprintf(stderr,
                          "%s: command failed: state=%s code=%s "
                          "message=\"%s\"\n",
-                         cli.program().c_str(),
+                         flags.program().c_str(),
                          runtime::name(ev.state()),
                          name(ev.status().code()),
                          ev.status().message().c_str());
@@ -870,7 +756,7 @@ main(int argc, char **argv)
         // A recoverable configuration/usage error the library reported
         // (bad fault rates, health thresholds, ...): a usage problem,
         // not an internal failure.
-        std::fprintf(stderr, "%s: %s\n", cli.program().c_str(),
+        std::fprintf(stderr, "%s: %s\n", flags.program().c_str(),
                      e.what());
         return 2;
     } catch (const FatalError &e) {

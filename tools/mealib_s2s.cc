@@ -59,17 +59,24 @@ baseName(const std::string &path)
 int
 main(int argc, char **argv)
 {
-    Cli cli(argc, argv);
-    if (cli.positional().empty()) {
-        std::fprintf(stderr,
-                     "usage: %s <input.c> [--out=<dir>] [--tdl-only]\n",
-                     cli.program().c_str());
+    FlagTable table("Translate the accelerable library calls of a C file.",
+                    "<input.c> [options]", 1);
+    const Flag &out =
+        table.add({"out", FlagType::String, ".", "output directory"});
+    const Flag &tdlOnly = table.add(
+        {"tdl-only", FlagType::Bool, "", "write only the TDL program"});
+    const Flag &quiet =
+        table.add({"quiet", FlagType::Bool, "", "no summary on stdout"});
+    const Flags flags = table.parseOrExit(argc, argv);
+    if (flags.positional().empty()) {
+        std::fprintf(stderr, "usage: %s <input.c> [options]; see --help\n",
+                     flags.program().c_str());
         return 2;
     }
 
     try {
-        const std::string input = cli.positional()[0];
-        const std::string outdir = cli.get("out", ".");
+        const std::string input = flags.positional()[0];
+        const std::string outdir = flags.text(out);
         const std::string base = baseName(input);
 
         s2s::TranslationResult r = s2s::translate(readFile(input));
@@ -79,13 +86,13 @@ main(int argc, char **argv)
                          d.line, d.message.c_str());
 
         writeFile(outdir + "/" + base + ".tdl", r.tdl);
-        if (!cli.has("tdl-only")) {
+        if (!flags.on(tdlOnly)) {
             writeFile(outdir + "/" + base + ".mea.c", r.source);
             for (const auto &[file, text] : r.paramFiles)
                 writeFile(outdir + "/" + file, text);
         }
 
-        if (!cli.has("quiet")) {
+        if (!flags.on(quiet)) {
             std::printf("%s: %u plan site(s), %u allocation rewrites, "
                         "%llu library calls absorbed, %zu parameter "
                         "file(s)\n",
