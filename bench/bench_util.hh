@@ -150,7 +150,7 @@ class JsonWriter
     void
     meta(const std::string &key, const std::string &value)
     {
-        meta_.push_back({key, "\"" + escape(value) + "\""});
+        meta_.push_back({key, quoted(value)});
     }
 
     // Keep string literals out of the bool overload.
@@ -182,7 +182,7 @@ class JsonWriter
     void
     field(const std::string &key, const std::string &value)
     {
-        fields_.push_back({key, "\"" + escape(value) + "\""});
+        fields_.push_back({key, quoted(value)});
     }
 
     void
@@ -216,7 +216,9 @@ class JsonWriter
         for (std::size_t i = 0; i < fields_.size(); ++i) {
             if (i)
                 rec += ", ";
-            rec += "\"" + fields_[i].first + "\": " + fields_[i].second;
+            rec += quoted(fields_[i].first);
+            rec += ": ";
+            rec += fields_[i].second;
         }
         rec += "}";
         records_.push_back(std::move(rec));
@@ -227,8 +229,13 @@ class JsonWriter
     str() const
     {
         std::string out = "{\n";
-        for (const auto &[k, v] : meta_)
-            out += "  \"" + k + "\": " + v + ",\n";
+        for (const auto &[k, v] : meta_) {
+            out += "  ";
+            out += quoted(k);
+            out += ": ";
+            out += v;
+            out += ",\n";
+        }
         out += "  \"records\": [\n";
         for (std::size_t i = 0; i < records_.size(); ++i) {
             out += records_[i];
@@ -251,15 +258,19 @@ class JsonWriter
     }
 
   private:
+    /** @p s as a JSON string literal: quotes and backslashes escaped. */
     static std::string
-    escape(const std::string &s)
+    quoted(const std::string &s)
     {
         std::string out;
+        out.reserve(s.size() + 2);
+        out += '"';
         for (char c : s) {
             if (c == '"' || c == '\\')
                 out += '\\';
             out += c;
         }
+        out += '"';
         return out;
     }
 

@@ -426,8 +426,11 @@ Options
 parseArgs(int argc, char **argv)
 {
     std::string sweep;
-    for (int t : defaultThreadSweep())
-        sweep += (sweep.empty() ? "" : ",") + std::to_string(t);
+    for (int t : defaultThreadSweep()) {
+        if (!sweep.empty())
+            sweep += ',';
+        sweep += std::to_string(t);
+    }
     FlagTable table("MiniMKL kernels: optimized vs naive, by thread count "
                     "and SIMD level.");
     const Flag &jsonRow =

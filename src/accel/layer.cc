@@ -1,8 +1,12 @@
 #include "accel/layer.hh"
 
 #include <algorithm>
+#include <limits>
+#include <optional>
 
 #include "common/logging.hh"
+#include "common/parallel.hh"
+#include "common/simd.hh"
 #include "minimkl/blas1.hh"
 #include "minimkl/blas2.hh"
 #include "minimkl/fft.hh"
@@ -49,6 +53,134 @@ outputBytes(const OpCall &c)
       default:
         panic("outputBytes: bad kind");
     }
+}
+
+/** Byte range [lo, hi) an operand covers over a whole loop. */
+struct Extent
+{
+    std::int64_t lo = 0;
+    std::int64_t hi = 0;
+
+    bool
+    overlaps(const Extent &o) const
+    {
+        return lo < o.hi && o.lo < hi;
+    }
+};
+
+/**
+ * Extent of @p op over @p loop for accesses @p bytes long; nullopt when
+ * it does not fit in int64 (the per-iteration route's bounds checks
+ * then judge the operand).
+ */
+std::optional<Extent>
+loopExtent(const OperandRef &op, const LoopSpec &loop, std::int64_t bytes)
+{
+    constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+    if (op.base > static_cast<Addr>(kMax))
+        return std::nullopt;
+    Extent e{static_cast<std::int64_t>(op.base),
+             static_cast<std::int64_t>(op.base)};
+    for (unsigned d = 0; d < kMaxLoopDims; ++d) {
+        std::int64_t reach = 0;
+        if (__builtin_mul_overflow(
+                op.stride[d], static_cast<std::int64_t>(loop.dims[d]) - 1,
+                &reach))
+            return std::nullopt;
+        std::int64_t &end = reach < 0 ? e.lo : e.hi;
+        if (__builtin_add_overflow(end, reach, &end))
+            return std::nullopt;
+    }
+    if (__builtin_add_overflow(e.hi, bytes, &e.hi))
+        return std::nullopt;
+    return e;
+}
+
+/** Every address of @p op over @p loop is float-aligned. */
+bool
+floatAligned(const OperandRef &op, const LoopSpec &loop)
+{
+    if (op.base % alignof(float) != 0)
+        return false;
+    for (unsigned d = 0; d < kMaxLoopDims; ++d) {
+        if (loop.dims[d] > 1 &&
+            op.stride[d] % static_cast<std::int64_t>(alignof(float)) != 0)
+            return false;
+    }
+    return true;
+}
+
+/**
+ * No two iterations of @p loop touch overlapping @p bytes-wide elements
+ * of @p op: sorted by stride magnitude, each moving dim steps past
+ * everything the smaller ones reach (mixed radix). Call it only on an
+ * operand whose loopExtent() fits.
+ */
+bool
+distinctElements(const OperandRef &op, const LoopSpec &loop,
+                 std::int64_t bytes)
+{
+    std::array<std::pair<std::uint64_t, std::uint64_t>, kMaxLoopDims> dims;
+    for (unsigned d = 0; d < kMaxLoopDims; ++d) {
+        const auto s = static_cast<std::uint64_t>(op.stride[d]);
+        dims[d] = {op.stride[d] < 0 ? 0 - s : s, loop.dims[d]};
+    }
+    std::sort(dims.begin(), dims.end());
+    auto reach = static_cast<std::uint64_t>(bytes);
+    for (const auto &[mag, extent] : dims) {
+        if (extent < 2)
+            continue;
+        if (mag < reach)
+            return false;
+        reach += mag * (extent - 1);
+    }
+    return true;
+}
+
+/** What executeDotLoop needs once runsAsDotLoop() holds. */
+struct DotLoopPlan
+{
+    unsigned rowDim = 0; //!< inner dim along which only in0 moves
+    unsigned colDim = 0; //!< inner dim along which only in1 moves
+    Extent in0, in1, out;
+};
+
+std::optional<DotLoopPlan>
+planDotLoop(const OpCall &c, const LoopSpec &loop)
+{
+    if (c.kind != AccelKind::DOT || !c.complexData || !c.conjugate ||
+        c.inc0 != 1 || c.inc1 != 1 || c.n == 0 ||
+        c.n > static_cast<std::uint64_t>(mkl::kReduceChunk) ||
+        loop.iterations() < 2)
+        return std::nullopt;
+    auto moves = [&](const OperandRef &op, unsigned d) {
+        return loop.dims[d] > 1 && op.stride[d] != 0;
+    };
+    DotLoopPlan plan;
+    if (!moves(c.in0, 3) && !moves(c.in1, 2)) {
+        plan.rowDim = 2;
+        plan.colDim = 3;
+    } else if (!moves(c.in0, 2) && !moves(c.in1, 3)) {
+        plan.rowDim = 3;
+        plan.colDim = 2;
+    } else {
+        return std::nullopt;
+    }
+    for (const OperandRef *op : {&c.in0, &c.in1, &c.out}) {
+        if (!floatAligned(*op, loop))
+            return std::nullopt;
+    }
+    const auto span = static_cast<std::int64_t>(c.n * c.elemBytes());
+    const std::optional<Extent> e0 = loopExtent(c.in0, loop, span);
+    const std::optional<Extent> e1 = loopExtent(c.in1, loop, span);
+    const std::optional<Extent> eo = loopExtent(c.out, loop, 8);
+    if (!e0 || !e1 || !eo || eo->overlaps(*e0) || eo->overlaps(*e1) ||
+        !distinctElements(c.out, loop, 8))
+        return std::nullopt;
+    plan.in0 = *e0;
+    plan.in1 = *e1;
+    plan.out = *eo;
+    return plan;
 }
 
 } // namespace
@@ -201,6 +333,75 @@ AcceleratorLayer::executeComp(
     }
 }
 
+bool
+AcceleratorLayer::runsAsDotLoop(const OpCall &call, const LoopSpec &loop)
+{
+    return planDotLoop(call, loop).has_value();
+}
+
+bool
+AcceleratorLayer::executeDotLoop(const OpCall &c, const LoopSpec &loop,
+                                 dram::PhysMem &mem) const
+{
+    const simd::Kernels *sk = simd::active();
+    if (sk == nullptr)
+        return false;
+    const std::optional<DotLoopPlan> plan = planDotLoop(c, loop);
+    if (!plan)
+        return false;
+
+    // One bounds check per operand, over its whole extent.
+    auto base = [&mem](const Extent &e) {
+        return mem.raw(static_cast<Addr>(e.lo),
+                       static_cast<std::uint64_t>(e.hi - e.lo));
+    };
+    const std::uint8_t *in0 = base(plan->in0);
+    const std::uint8_t *in1 = base(plan->in1);
+    std::uint8_t *out = base(plan->out);
+
+    // The outer dims 0 and 1 times the rows form the work units; each
+    // run of rows within one outer iteration is one cdotTile block.
+    const unsigned rd = plan->rowDim;
+    const unsigned cd = plan->colDim;
+    const std::int64_t rows = loop.dims[rd];
+    const std::int64_t cols = loop.dims[cd];
+    const std::int64_t inner1 = loop.dims[1];
+    const std::int64_t units =
+        static_cast<std::int64_t>(loop.dims[0]) * inner1 * rows;
+    const std::int64_t f = static_cast<std::int64_t>(sizeof(float));
+    const std::int64_t ws = c.in0.stride[rd] / f;
+    const std::int64_t xs = c.in1.stride[cd] / f;
+    const std::int64_t ou = c.out.stride[rd] / f;
+    const std::int64_t ov = c.out.stride[cd] / f;
+    const auto n = static_cast<std::int64_t>(c.n);
+    const int threads = kernelTuning().threadsFor(
+        static_cast<std::int64_t>(loop.iterations() * c.n));
+    parallelFor(0, units, threads, 1, [&](std::int64_t b, std::int64_t e) {
+        for (std::int64_t u = b; u < e;) {
+            const std::int64_t outer = u / rows;
+            const std::int64_t r0 = u % rows;
+            const std::int64_t r1 = std::min(rows, r0 + (e - u));
+            std::array<std::uint32_t, kMaxLoopDims> idx{};
+            idx[0] = static_cast<std::uint32_t>(outer / inner1);
+            idx[1] = static_cast<std::uint32_t>(outer % inner1);
+            idx[rd] = static_cast<std::uint32_t>(r0);
+            sk->cdotTile(
+                n, r1 - r0, cols,
+                reinterpret_cast<const float *>(
+                    in0 + (c.in0.at(idx) - plan->in0.lo)),
+                ws,
+                reinterpret_cast<const float *>(
+                    in1 + (c.in1.at(idx) - plan->in1.lo)),
+                xs,
+                reinterpret_cast<float *>(
+                    out + (c.out.at(idx) - plan->out.lo)),
+                ou, ov);
+            u += r1 - r0;
+        }
+    });
+    return true;
+}
+
 void
 AcceleratorLayer::accountComp(const OpCall &call, const LoopSpec &loop,
                               ExecStats &stats) const
@@ -292,7 +493,11 @@ AcceleratorLayer::execute(const DescriptorProgram &prog,
                                pass_loop, stats);
         }
 
-        if (functional_) {
+        // Functional execution only: pricing above saw the OpCall and
+        // LoopSpec alone, whichever route computes the values.
+        if (functional_ &&
+            !(pass_comps.size() == 1 &&
+              executeDotLoop(pass_comps[0], pass_loop, mem))) {
             std::array<std::uint32_t, kMaxLoopDims> idx{0, 0, 0, 0};
             std::uint64_t iters = pass_loop.iterations();
             for (std::uint64_t it = 0; it < iters; ++it) {

@@ -96,11 +96,34 @@ class AcceleratorLayer
     const ConfigCosts &costs() const { return costs_; }
     bool functional() const { return functional_; }
 
+    /**
+     * True when a pass holding only @p call over @p loop runs as one
+     * block of dot products at the vector levels instead of one
+     * executeComp per iteration: a LOOP of at least two iterations over
+     * a conjugated complex DOT with unit
+     * increments and at most mkl::kReduceChunk elements, whose in0 is
+     * constant along one of the two inner loop dims and in1 along the
+     * other (STAP's weights x snapshots nest), with 4-byte aligned
+     * operands and an output that neither overlaps the inputs nor
+     * writes one address twice. Either route gives the same bits.
+     */
+    static bool runsAsDotLoop(const OpCall &call, const LoopSpec &loop);
+
   private:
     /** Functionally compute one COMP at one loop index. */
     void executeComp(const OpCall &call,
                      const std::array<std::uint32_t, kMaxLoopDims> &idx,
                      dram::PhysMem &mem) const;
+
+    /**
+     * Functionally compute @p call over all of @p loop through
+     * simd::Kernels::cdotTile when runsAsDotLoop() holds and a vector
+     * level is active. Every operand's whole extent is bounds-checked
+     * before anything is written. @return false, having done nothing,
+     * when the pass must run per iteration.
+     */
+    bool executeDotLoop(const OpCall &call, const LoopSpec &loop,
+                        dram::PhysMem &mem) const;
 
     /** Account one COMP (aggregated over @p loop) into @p stats. */
     void accountComp(const OpCall &call, const LoopSpec &loop,

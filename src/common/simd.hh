@@ -156,7 +156,37 @@ struct Kernels
     void (*herkTile)(std::int64_t k, std::int64_t ld, const double *re,
                      const double *im, std::int64_t i0, std::int64_t j0,
                      bool conjLeft, double *outRe, double *outIm);
+    /**
+     * Block of conjugated complex dots over n interleaved elements: for
+     * u < rows, v < cols, with w_u = w + u*ws and x_v = x + v*xs,
+     * out[u*ou + v*ov] and the float after it receive conj(w_u).x_v.
+     * Strides count floats. Each output is cdot(n, w_u, x_v, true)
+     * rounded to float, bit for bit: the same 16 f64 sums per dot
+     * (complex lane x product term), each in the same order, and the
+     * same combine tree. Each w and x is packed once per call into f64
+     * planes that R x 8 register tiles read (R is 4 at avx512, else 2).
+     */
+    void (*cdotTile)(std::int64_t n, std::int64_t rows, std::int64_t cols,
+                     const float *w, std::int64_t ws, const float *x,
+                     std::int64_t xs, float *out, std::int64_t ou,
+                     std::int64_t ov);
+    /**
+     * x[k] /= (dr + i*di) over n interleaved complex elements, by the
+     * formula cdivRowScalar documents, with c^2 + d^2 computed once.
+     */
+    void (*cdivRow)(std::int64_t n, float dr, float di, float *x);
 };
+
+/**
+ * Scalar form of Kernels::cdivRow, for the scalar level. Each quotient
+ * widens to f64: with den = c^2 + d^2, re = (float)((a*c + b*d) / den)
+ * and im = (float)((b*c - a*d) / den), and an element whose parts both
+ * come out NaN is redone with std::complex division. That is libgcc's
+ * __divsc3 (GCC 12 and later) bit for bit, so on those toolchains it
+ * equals `x /= d`. Its translation unit is compiled without FP
+ * contraction, so every level agrees with it on every toolchain.
+ */
+void cdivRowScalar(std::int64_t n, float dr, float di, float *x);
 
 /** Table for @p level; nullptr for Scalar or an unavailable level. */
 const Kernels *tableFor(SimdLevel level);

@@ -8,13 +8,18 @@
  * checked, zero-initialized region representing the beginning of the
  * stack's physical space. The modeled capacity may exceed the backing
  * size; only functionally-used addresses must fit the backing.
+ *
+ * The arena comes from calloc, so its pages are zeroed lazily: at the
+ * default 256 MiB the allocator maps fresh anonymous pages, which read
+ * as zero and cost nothing until a run first touches them.
  */
 
 #ifndef MEALIB_DRAM_PHYSMEM_HH
 #define MEALIB_DRAM_PHYSMEM_HH
 
 #include <cstdint>
-#include <vector>
+#include <cstdlib>
+#include <memory>
 
 #include "common/logging.hh"
 #include "common/units.hh"
@@ -26,27 +31,30 @@ class PhysMem
 {
   public:
     /** @param backingBytes bytes of functional storage to allocate. */
-    explicit PhysMem(std::uint64_t backingBytes)
-        : mem_(backingBytes, 0)
+    explicit PhysMem(std::uint64_t backingBytes) : size_(backingBytes)
     {
         fatalIf(backingBytes == 0, "physmem: zero backing size");
+        mem_.reset(static_cast<std::uint8_t *>(
+            std::calloc(static_cast<std::size_t>(backingBytes), 1)));
+        fatalIf(mem_ == nullptr, "physmem: cannot allocate ",
+                backingBytes, " bytes");
     }
 
-    std::uint64_t size() const { return mem_.size(); }
+    std::uint64_t size() const { return size_; }
 
     /** Raw byte pointer to [addr, addr+bytes); fatal() if out of range. */
     std::uint8_t *
     raw(Addr addr, std::uint64_t bytes)
     {
         check(addr, bytes);
-        return mem_.data() + addr;
+        return mem_.get() + addr;
     }
 
     const std::uint8_t *
     raw(Addr addr, std::uint64_t bytes) const
     {
         check(addr, bytes);
-        return mem_.data() + addr;
+        return mem_.get() + addr;
     }
 
     /** Typed pointer to @p count elements of T at @p addr. */
@@ -72,12 +80,18 @@ class PhysMem
     void
     check(Addr addr, std::uint64_t bytes) const
     {
-        fatalIf(addr + bytes > mem_.size() || addr + bytes < addr,
+        fatalIf(addr + bytes > size_ || addr + bytes < addr,
                 "physmem: access [", addr, ", ", addr + bytes,
-                ") outside backing of ", mem_.size(), " bytes");
+                ") outside backing of ", size_, " bytes");
     }
 
-    std::vector<std::uint8_t> mem_;
+    struct Free
+    {
+        void operator()(std::uint8_t *p) const { std::free(p); }
+    };
+
+    std::uint64_t size_;
+    std::unique_ptr<std::uint8_t[], Free> mem_;
 };
 
 } // namespace mealib::dram

@@ -11,11 +11,6 @@ namespace mealib::mkl {
 
 namespace {
 
-/** Elements per chunk of the deterministic reductions. The chunk
- * boundaries fix the summation order, so changing it changes result
- * bits (docs/KERNELS.md). */
-constexpr std::int64_t kReduceChunk = 1 << 14;
-
 /** BLAS convention: with negative stride the vector starts at the end. */
 inline std::int64_t
 startIndex(std::int64_t n, std::int64_t inc)

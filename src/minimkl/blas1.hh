@@ -17,6 +17,14 @@
 
 namespace mealib::mkl {
 
+/**
+ * Elements per chunk of the deterministic reductions. The chunk
+ * boundaries fix the summation order, so changing it changes result
+ * bits (docs/KERNELS.md). A unit-stride cdotc of at most this many
+ * elements at a vector level is one simd::Kernels::cdot call.
+ */
+inline constexpr std::int64_t kReduceChunk = 1 << 14;
+
 /** y := a*x + y (single precision). */
 void saxpy(std::int64_t n, float a, const float *x, std::int64_t incx,
            float *y, std::int64_t incy);

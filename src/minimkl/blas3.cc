@@ -110,6 +110,29 @@ simdScaleRow(const simd::Kernels *sk, std::int64_t n, cfloat alpha,
     sk->cscal(n, alpha.real(), alpha.imag(), reinterpret_cast<float *>(x));
 }
 
+/** x[j] /= d for j < n: the real row keeps its per-element division. */
+inline void
+divideRow(const simd::Kernels *, std::int64_t n, float d, float *x)
+{
+    for (std::int64_t j = 0; j < n; ++j)
+        x[j] /= d;
+}
+
+/**
+ * The complex row divides by its one divisor through cdivRow, or at the
+ * scalar level through the same formula's plain loop: the result of
+ * libgcc's __divsc3, so `x[j] /= d` bit for bit on GCC 12 and later.
+ */
+inline void
+divideRow(const simd::Kernels *sk, std::int64_t n, cfloat d, cfloat *x)
+{
+    float *f = reinterpret_cast<float *>(x);
+    if (sk != nullptr)
+        sk->cdivRow(n, d.real(), d.imag(), f);
+    else
+        simd::cdivRowScalar(n, d.real(), d.imag(), f);
+}
+
 /** alpha*x + y row update through the active SIMD table. */
 inline void
 simdAxpyRow(const simd::Kernels *sk, std::int64_t n, float av,
@@ -390,9 +413,8 @@ trsmRowMajor(Side side, Uplo uplo, Transpose trans, Diag diag,
         // update order is exactly the sequential one. At vector levels
         // row i's updates b[i, :] -= f * b[p, :] go to the SIMD table in
         // one call, applied in p order with the same per-element
-        // operations; the division by the diagonal stays a per-element
-        // T division (for complex T that is the runtime library's
-        // __divsc3, which no vector formula matches on every toolchain).
+        // operations. The division by the diagonal goes through
+        // divideRow at every level, scalar included.
         auto panel = [&](std::int64_t jb, std::int64_t je) {
             // The nonzero multipliers of one row and the solved rows
             // they scale, handed to the kernel in one call.
@@ -423,11 +445,8 @@ trsmRowMajor(Side side, Uplo uplo, Transpose trans, Diag diag,
                     simdSubMulRows(sk, je - jb,
                                    static_cast<std::int64_t>(fs.size()),
                                    fs.data(), xs.data(), b + i * ldb + jb);
-                if (!unit) {
-                    T d = A(i, i);
-                    for (std::int64_t j = jb; j < je; ++j)
-                        b[i * ldb + j] /= d;
-                }
+                if (!unit)
+                    divideRow(sk, je - jb, A(i, i), b + i * ldb + jb);
             };
             if (eff == Uplo::Lower) {
                 for (std::int64_t i = 0; i < m; ++i)

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -599,6 +600,95 @@ TEST(Ctrsm, ColMajorAgreesWithRowMajor)
                 std::abs(b_rm[static_cast<std::size_t>(i * n + j)] -
                          b_cm[static_cast<std::size_t>(j * m + i)]),
                 0.0f, 1e-4f);
+}
+
+/**
+ * cdivRow's formula written out: widen to f64, den = c^2 + d^2, each
+ * numerator and quotient rounded once, and NaN + iNaN redone with
+ * std::complex division. Every product of two widened floats is exact,
+ * so FP contraction cannot change this reference.
+ */
+cfloat
+divideReference(cfloat x, cfloat dv)
+{
+    const double a = x.real(), b = x.imag();
+    const double c = dv.real(), d = dv.imag();
+    const double den = c * c + d * d;
+    const auto re = static_cast<float>((a * c + b * d) / den);
+    const auto im = static_cast<float>((b * c - a * d) / den);
+    if (std::isnan(re) && std::isnan(im))
+        return x / dv;
+    return {re, im};
+}
+
+/** Operands for the division tests: random, extreme and special. */
+std::vector<cfloat>
+divisionOperands(std::uint64_t seed)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float specials[] = {0.0f,
+                              -0.0f,
+                              1.0f,
+                              -3.5f,
+                              inf,
+                              -inf,
+                              nan,
+                              std::numeric_limits<float>::denorm_min(),
+                              -1.5e-40f,
+                              std::numeric_limits<float>::min(),
+                              std::numeric_limits<float>::max(),
+                              -std::numeric_limits<float>::max()};
+    std::vector<cfloat> v;
+    for (float re : specials)
+        for (float im : specials)
+            v.push_back({re, im});
+    Rng rng(seed);
+    for (int i = 0; i < 2000; ++i) {
+        // Exponents over +-140 reach subnormals, overflow and zeros.
+        auto value = [&] {
+            const int e = static_cast<int>(rng.uniform(-140.0f, 140.0f));
+            return std::ldexp(rng.uniform(-1.0f, 1.0f), e);
+        };
+        v.push_back({value(), value()});
+    }
+    return v;
+}
+
+TEST(Cdiv, RowDivisionMatchesTheReferenceAtEveryLevel)
+{
+    const std::vector<cfloat> xs = divisionOperands(11);
+    std::vector<cfloat> divisors = divisionOperands(12);
+    divisors.resize(400); // every special pair, then random ones
+    for (simd::SimdLevel level : simd::availableLevels()) {
+        const simd::Kernels *sk = simd::tableFor(level);
+        for (cfloat dv : divisors) {
+            // Every row length up to 9 covers each vector tail.
+            for (std::size_t len : {xs.size(), std::size_t{1},
+                                    std::size_t{3}, std::size_t{9}}) {
+                std::vector<cfloat> got(xs.begin(), xs.begin() + len);
+                auto *f = reinterpret_cast<float *>(got.data());
+                const auto n = static_cast<std::int64_t>(len);
+                if (sk != nullptr)
+                    sk->cdivRow(n, dv.real(), dv.imag(), f);
+                else
+                    simd::cdivRowScalar(n, dv.real(), dv.imag(), f);
+                for (std::size_t i = 0; i < len; ++i) {
+                    const cfloat want = divideReference(xs[i], dv);
+                    ASSERT_EQ(std::memcmp(&got[i], &want, sizeof want), 0)
+                        << simd::name(level) << " " << xs[i] << " / " << dv
+                        << " got " << got[i] << " want " << want;
+#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 12
+                    // libgcc 12's __divsc3 is this formula.
+                    const cfloat lib = xs[i] / dv;
+                    ASSERT_EQ(std::memcmp(&got[i], &lib, sizeof lib), 0)
+                        << simd::name(level) << " " << xs[i] << " / " << dv
+                        << " got " << got[i] << " libgcc " << lib;
+#endif
+                }
+            }
+        }
+    }
 }
 
 /** Row-major Hermitian positive-definite B^H B + n I, padded to lda. */
